@@ -52,7 +52,7 @@ func main() {
 	conns := flag.Int("conns", 1, "parallel connections")
 	depth := flag.Int("depth", 16, "closed-loop pipeline frames per connection")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in ops/s across all connections (0 = closed loop)")
-	maxInflight := flag.Int("max-inflight", 0, "open-loop cap on outstanding frames per connection; arrivals over it are dropped and counted (0 = unbounded)")
+	maxInflight := flag.Int("max-inflight", 0, "open-loop cap on outstanding frames per connection; arrivals over it are dropped and counted (0 = 1024)")
 	duration := flag.Duration("duration", 3*time.Second, "measured window")
 	seed := flag.Int64("seed", 1, "workload seed")
 	load := flag.Bool("load", false, "bulk-insert the keyspace over the wire before the run")

@@ -274,142 +274,188 @@ func (m Matrix) runSet(rep *Report, c SetCell) {
 	})
 }
 
-// runStore measures one service cell: build the sharded store, YCSB
-// load, warmup, repeated timed runs.
+// runStore measures one service cell: per-op persistence through
+// Direct sessions.
 func (m Matrix) runStore(rep *Report, c StoreCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
+	return m.runEmbedded(rep, c.ID(),
+		store.Options{Shards: c.Shards, Policy: c.Policy},
+		workload.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records})
+}
+
+// runCombine measures one embedded flat-combining cell: the store gets
+// the cell's combining window, and the workload runner drives it in
+// Combined mode at the cell's vector depth — every worker a concurrent
+// announcer, every window fenced once by whichever announcer wins the
+// shard's combiner lock. Measurement is runStore's, so combine cells
+// compare directly against the per-op store cells and the server-side
+// net cells.
+func (m Matrix) runCombine(rep *Report, c CombineCell) error {
+	return m.runEmbedded(rep, c.ID(),
+		store.Options{Shards: c.Shards, Policy: c.Policy, CombineWindow: c.Window, CombineNoCoalesce: c.NoCoalesce},
+		workload.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records, Mode: store.Combined, Depth: c.Depth, HotKeys: c.HotKeys})
+}
+
+// loadStore builds the sharded store a store-backed cell runs against
+// (o carries the cell's shard, policy and combining knobs; sizing and
+// cost mode come from here) and YCSB-loads it.
+func (m Matrix) loadStore(o store.Options, records uint64) (*store.Store, error) {
+	o.ExpectedKeys = int(records) * 3
+	o.Mode = dstruct.Automatic
+	o.VirtualClock = m.VirtualClock
+	st, err := store.New(o)
+	if err != nil {
+		return nil, err
+	}
+	workload.Load(st, records, m.Threads)
+	return st, nil
+}
+
+// measure runs one discarded warmup window (when configured), then
+// m.Repeats measured windows; run receives each window's length.
+func measure[R any](m Matrix, run func(time.Duration) (R, error)) ([]R, error) {
+	if m.Warmup > 0 {
+		if _, err := run(m.Warmup); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]R, 0, m.Repeats)
+	for i := 0; i < m.Repeats; i++ {
+		r, err := run(m.Duration)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// runEmbedded measures one in-process cell: build and load the store,
+// then drive the workload runner — warmup discarded, repeats folded.
+func (m Matrix) runEmbedded(rep *Report, id string, o store.Options, spec workload.Spec) error {
+	st, err := m.loadStore(o, spec.Records)
+	if err != nil {
+		return err
+	}
+	spec.Threads, spec.Seed = m.Threads, m.Seed
+	runs, err := measure(m, func(d time.Duration) (workload.Result, error) {
+		sp := spec
+		sp.Duration = d
+		return workload.Run(st, sp)
 	})
 	if err != nil {
 		return err
 	}
-	workload.Load(st, c.Records, m.Threads)
-	spec := workload.Spec{
-		Mix: c.Mix, Dist: c.Dist, Threads: m.Threads,
-		Duration: m.Duration, Records: c.Records, Seed: m.Seed,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := workload.Run(st, warm); err != nil {
-			return err
-		}
-	}
 	var tput, pwbRate, p99 []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	var nsPerOp, allocsPerOp float64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := workload.Run(st, spec)
-		if err != nil {
-			return err
-		}
+	cell := Cell{ID: id + "/throughput", Unit: "ops/s"}
+	for _, r := range runs {
 		tput = append(tput, r.OpsPerSec)
 		pwbRate = append(pwbRate, r.PWBsPerOp)
 		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-		nsPerOp += r.NsPerOp
-		allocsPerOp += r.AllocsPerOp
+		cell.Ops += r.Ops
+		cell.PWBs += r.PWBs
+		cell.PFences += r.PFences
+		cell.P50Ns += r.P50.Nanoseconds()
+		cell.P95Ns += r.P95.Nanoseconds()
+		cell.P99Ns += r.P99.Nanoseconds()
+		cell.NsPerOp += r.NsPerOp
+		cell.AllocsPerOp += r.AllocsPerOp
 	}
 	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-		NsPerOp: nsPerOp / float64(n), AllocsPerOp: allocsPerOp / float64(n),
-	})
+	cell.Value = stats.Summarize(tput)
+	cell.P50Ns /= n
+	cell.P95Ns /= n
+	cell.P99Ns /= n
+	cell.NsPerOp /= float64(n)
+	cell.AllocsPerOp /= float64(n)
+	rep.Add(cell)
 	rep.Add(Cell{
 		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
 		LowerIsBetter: true,
 	})
+	m.addP99(rep, id, p99)
+	return nil
+}
+
+// addP99 emits the optional tail-latency cell (Matrix.Latency).
+func (m Matrix) addP99(rep *Report, id string, p99 []float64) {
 	if m.Latency {
 		rep.Add(Cell{
 			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
 			LowerIsBetter: true,
 		})
 	}
-	return nil
 }
 
-// runNet measures one network front-end cell: build the sharded store,
-// YCSB-load it in-process, boot the group-commit server over in-process
-// pipe transports, then drive the pipelining client load generator —
-// warmup discarded, repeats folded. Throughput and latency are
-// client-observed; pwbs/pfences come from the server-side instruction
-// deltas per acknowledged op.
-func (m Matrix) runNet(rep *Report, c NetCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
-	})
+// runServed is the scaffold of the served cells: build and load the
+// store, boot the group-commit server with so over in-process pipe
+// transports, and drive the pipelining client load generator — warmup
+// discarded, one Result per measured repeat. check, when non-nil, runs
+// against the live server after the last repeat.
+func (m Matrix) runServed(o store.Options, so server.Options, spec client.Spec, check func(*server.Server) error) ([]client.Result, error) {
+	st, err := m.loadStore(o, spec.Records)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	workload.Load(st, c.Records, m.Threads)
-	// Metrics ride along in every net cell: the committed matrix numbers
-	// carry the observability cost, and the cross-check below holds the
-	// striped counters to the server's own acked-op count.
-	srv := server.New(st, server.Options{Metrics: true})
+	srv := server.New(st, so)
 	defer srv.Close()
 	dial := func() (net.Conn, error) {
 		cc, sc := net.Pipe()
 		go srv.ServeConn(sc)
 		return cc, nil
 	}
-	spec := client.Spec{
-		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
-		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
-		Duration: m.Duration,
+	spec.Seed = m.Seed
+	runs, err := measure(m, func(d time.Duration) (client.Result, error) {
+		sp := spec
+		sp.Duration = d
+		return client.Run(dial, sp)
+	})
+	if err == nil && check != nil {
+		err = check(srv)
 	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := client.Run(dial, warm); err != nil {
-			return err
-		}
+	return runs, err
+}
+
+// runNet measures one network front-end cell. Throughput and latency
+// are client-observed; pwbs/pfences come from the server-side
+// instruction deltas per acknowledged op.
+func (m Matrix) runNet(rep *Report, c NetCell) error {
+	// Metrics ride along in every net cell: the committed matrix numbers
+	// carry the observability cost, and the check holds the striped
+	// counters to the server's own acked-op count.
+	runs, err := m.runServed(
+		store.Options{Shards: c.Shards, Policy: c.Policy},
+		server.Options{Metrics: true},
+		client.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records, Conns: c.Conns, Depth: c.Depth},
+		func(srv *server.Server) error {
+			if got, want := srv.Metrics().OpsTotal(), srv.Stats().OpsServed; got != want {
+				return fmt.Errorf("bench: metrics op counters sum to %d, server acked %d", got, want)
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
 	var tput, pwbRate, p99, perBatch []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := client.Run(dial, spec)
-		if err != nil {
-			return err
-		}
+	id := c.ID()
+	cell := Cell{ID: id + "/throughput", Unit: "ops/s"}
+	for _, r := range runs {
 		tput = append(tput, r.OpsPerSec)
 		pwbRate = append(pwbRate, r.PWBsPerOp)
 		p99 = append(p99, float64(r.P99.Nanoseconds()))
 		perBatch = append(perBatch, r.OpsPerBatch)
-		ops += r.ServerOps
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-	}
-	if got, want := srv.Metrics().OpsTotal(), srv.Stats().OpsServed; got != want {
-		return fmt.Errorf("bench: metrics op counters sum to %d, server acked %d", got, want)
+		cell.Ops += r.ServerOps
+		cell.PWBs += r.PWBs
+		cell.PFences += r.PFences
+		cell.P50Ns += r.P50.Nanoseconds()
+		cell.P95Ns += r.P95.Nanoseconds()
+		cell.P99Ns += r.P99.Nanoseconds()
 	}
 	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-	})
+	cell.Value = stats.Summarize(tput)
+	cell.P50Ns /= n
+	cell.P95Ns /= n
+	cell.P99Ns /= n
+	rep.Add(cell)
 	rep.Add(Cell{
 		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
 		LowerIsBetter: true,
@@ -420,155 +466,44 @@ func (m Matrix) runNet(rep *Report, c NetCell) error {
 	rep.Add(Cell{
 		ID: id + "/ops_per_batch", Unit: "ops/batch", Value: stats.Summarize(perBatch),
 	})
-	if m.Latency {
-		rep.Add(Cell{
-			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-			LowerIsBetter: true,
-		})
-	}
+	m.addP99(rep, id, p99)
 	return nil
 }
 
-// runCombine measures one embedded flat-combining cell: build the store
-// with the cell's combining window, YCSB-load it, then drive the
-// workload runner in Combined mode at the cell's vector depth — every
-// worker a concurrent announcer, every window fenced once by whichever
-// announcer wins the shard's combiner lock. Measurement mirrors
-// runStore so combine cells compare directly against the per-op store
-// cells and the server-side net cells.
-func (m Matrix) runCombine(rep *Report, c CombineCell) error {
-	st, err := store.New(store.Options{
-		Shards:            c.Shards,
-		ExpectedKeys:      int(c.Records) * 3,
-		Policy:            c.Policy,
-		Mode:              dstruct.Automatic,
-		VirtualClock:      m.VirtualClock,
-		CombineWindow:     c.Window,
-		CombineNoCoalesce: c.NoCoalesce,
-	})
-	if err != nil {
-		return err
-	}
-	workload.Load(st, c.Records, m.Threads)
-	spec := workload.Spec{
-		Mix: c.Mix, Dist: c.Dist, Threads: m.Threads,
-		Duration: m.Duration, Records: c.Records, Seed: m.Seed,
-		Mode: store.Combined, Depth: c.Depth, HotKeys: c.HotKeys,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := workload.Run(st, warm); err != nil {
-			return err
-		}
-	}
-	var tput, pwbRate, p99 []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	var nsPerOp, allocsPerOp float64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := workload.Run(st, spec)
-		if err != nil {
-			return err
-		}
-		tput = append(tput, r.OpsPerSec)
-		pwbRate = append(pwbRate, r.PWBsPerOp)
-		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-		nsPerOp += r.NsPerOp
-		allocsPerOp += r.AllocsPerOp
-	}
-	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-		NsPerOp: nsPerOp / float64(n), AllocsPerOp: allocsPerOp / float64(n),
-	})
-	rep.Add(Cell{
-		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
-		LowerIsBetter: true,
-	})
-	if m.Latency {
-		rep.Add(Cell{
-			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-			LowerIsBetter: true,
-		})
-	}
-	return nil
-}
-
-// runOverload measures one admission-control cell: build and load the
-// store, boot the server with the cell's rate cap over in-process pipe
-// transports, then drive the closed loop flat out — the server sheds
-// the excess with BUSY. The pipe transport delivers every shed response,
-// so the client's shed count must equal the server's shed delta exactly;
-// a mismatch fails the cell (lost-shed accounting would make the
-// shed_rate trajectory lie).
+// runOverload measures one admission-control cell: the server runs
+// with the cell's rate cap and the closed loop pushes flat out — the
+// server sheds the excess with BUSY. The pipe transport delivers every
+// shed response, so the client's shed count must equal the server's
+// shed delta exactly; a mismatch fails the cell (lost-shed accounting
+// would make the shed_rate trajectory lie).
 func (m Matrix) runOverload(rep *Report, c OverloadCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
-	})
+	runs, err := m.runServed(
+		store.Options{Shards: c.Shards, Policy: c.Policy},
+		server.Options{Metrics: true, RateLimit: c.RateLimit, RateBurst: c.Burst},
+		client.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records, Conns: c.Conns, Depth: c.Depth},
+		nil)
 	if err != nil {
 		return err
-	}
-	workload.Load(st, c.Records, m.Threads)
-	srv := server.New(st, server.Options{
-		Metrics: true, RateLimit: c.RateLimit, RateBurst: c.Burst,
-	})
-	defer srv.Close()
-	dial := func() (net.Conn, error) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		return cc, nil
-	}
-	spec := client.Spec{
-		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
-		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
-		Duration: m.Duration,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := client.Run(dial, warm); err != nil {
-			return err
-		}
 	}
 	var goodput, shedRate, p99 []float64
-	var ops, shed uint64
-	var p50Sum, p99Sum int64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := client.Run(dial, spec)
-		if err != nil {
-			return err
-		}
+	id := c.ID()
+	cell := Cell{ID: id + "/goodput", Unit: "ops/s"}
+	for _, r := range runs {
 		if r.Shed != r.ServerShed {
 			return fmt.Errorf("bench: client counted %d shed ops, server %d", r.Shed, r.ServerShed)
 		}
 		goodput = append(goodput, r.OpsPerSec)
 		shedRate = append(shedRate, r.ShedRate)
 		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		shed += r.Shed
-		p50Sum += r.P50.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
+		cell.Ops += r.Ops
+		cell.P50Ns += r.P50.Nanoseconds()
+		cell.P99Ns += r.P99.Nanoseconds()
 	}
 	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/goodput", Unit: "ops/s", Value: stats.Summarize(goodput),
-		Ops: ops, P50Ns: p50Sum / n, P99Ns: p99Sum / n,
-	})
+	cell.Value = stats.Summarize(goodput)
+	cell.P50Ns /= n
+	cell.P99Ns /= n
+	rep.Add(cell)
 	rep.Add(Cell{
 		ID: id + "/shed_rate", Unit: "shed/offered", Value: stats.Summarize(shedRate),
 	})

@@ -24,8 +24,10 @@ import (
 // ops/s total, split evenly across connections, regardless of how fast
 // responses return. Latency is measured from the scheduled arrival, so
 // queueing delay under overload is charged to the server — the
-// coordinated-omission-free spelling, matching the workload runner's
-// open-loop mode.
+// coordinated-omission-free spelling.
+//
+// The wire protocol has no ADD opcode, so mixes with Add operations
+// (mix G) are rejected.
 type Spec struct {
 	Mix     string
 	Dist    string
@@ -253,6 +255,9 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if mix.Add > 0 {
+		return Result{}, fmt.Errorf("client: mix %q issues Add operations, which the wire protocol cannot carry", sp.Mix)
+	}
 	if sp.Records == 0 {
 		return Result{}, fmt.Errorf("client: spec needs Records > 0")
 	}
@@ -424,8 +429,8 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 }
 
 // workerCounts is one worker's non-latency tallies: completed ops by
-// kind, ops the server shed (BUSY/DRAINING), and open-loop arrivals
-// dropped at the inflight cap.
+// kind (every kind but Add, which Run rejects), ops the server shed
+// (BUSY/DRAINING), and open-loop arrivals dropped at the inflight cap.
 type workerCounts struct {
 	kinds   [5]uint64
 	shed    uint64
@@ -490,6 +495,20 @@ type openMeta struct {
 	kind   workload.OpKind
 }
 
+// openLoopSchedule computes one worker's slice of a fixed-rate global
+// arrival schedule: the step between the worker's own arrivals and its
+// staggered first-arrival offset, such that the union over workers is
+// evenly spaced at rate ops/s (not workers-sized lockstep bursts). The
+// step is clamped to >= 1ns — an absurd rate would otherwise truncate
+// it to zero and the schedule could never reach its deadline.
+func openLoopSchedule(rate float64, w, workers int) (step, offset time.Duration) {
+	step = time.Duration(float64(time.Second) * float64(workers) / rate)
+	if step < 1 {
+		step = 1
+	}
+	return step, time.Duration(w) * step / time.Duration(workers)
+}
+
 // runOpen is the open-loop worker pair: the sender fires operations at
 // their scheduled arrival times; the receiver records latency from the
 // schedule, not from the send — queueing is part of the measurement.
@@ -505,7 +524,7 @@ func runOpen(c *Conn, g *workload.Generator, limit *atomic.Uint64,
 	if maxInflight <= 0 {
 		maxInflight = 1024
 	}
-	step, offset := workload.OpenLoopSchedule(rate, w, conns)
+	step, offset := openLoopSchedule(rate, w, conns)
 	ch := make(chan openMeta, 1<<14)
 	var inflight atomic.Int64 // outstanding frames, sender adds / receiver subtracts
 	var sendErr error

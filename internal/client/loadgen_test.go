@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,25 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 	if res.Ops < 100 {
 		t.Fatalf("open loop ran only %d ops at rate 2000/s over 200ms", res.Ops)
+	}
+}
+
+// TestRunRejectsAddMix: the wire protocol has no ADD opcode, so a mix
+// with Add operations (mix G) is an error in both loop modes, not a
+// run that silently sends nothing for them.
+func TestRunRejectsAddMix(t *testing.T) {
+	_, dial := pipeDialer(t, server.Options{})
+	if err := client.Load(dial, 64, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{0, 2000} {
+		_, err := client.Run(dial, client.Spec{
+			Mix: "g", Records: 64, Conns: 1, Depth: 4, Rate: rate,
+			Duration: 20 * time.Millisecond, Seed: 1,
+		})
+		if err == nil || !strings.Contains(err.Error(), "Add") {
+			t.Fatalf("rate %v: Run(mix g) = %v, want an error naming Add", rate, err)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // This file wires the batched request path — the network server's
-// group-commit executor (server.Batcher over store.BatchSession) — into
+// group-commit executor (server.Batcher over a Batched-mode store session) — into
 // both crash harnesses: the randomized rounds (RunStoreBatched) and the
 // systematic enumerator (RunStoreBatchedDL). The batteries drive the
 // exact code the wire protocol runs, minus the sockets: per-shard

@@ -129,8 +129,7 @@ func (c *Config) NewCtx(dom *reclaim.Domain) Ctx {
 }
 
 // ThreadOpts configures a per-goroutine structure handle — the single
-// options-struct constructor argument that replaced the
-// NewThread/NewThreadWith/NewThreadWithPolicy sprawl. Zero values pick
+// options-struct argument of each structure's Open. Zero values pick
 // the structure's own defaults, so Open(ThreadOpts{}) is the standalone
 // handle NewThread returns, and each field overrides one piece of the
 // execution context independently.

@@ -5,50 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"flit/internal/workload"
 )
-
-// TestHistMatchesWorkloadHist pins the atomic histogram to the
-// workload package's log-bucketed histogram: same geometry, same
-// quantile semantics (clamped to min/max), same counts — the property
-// that makes server-side and client-side percentiles comparable.
-func TestHistMatchesWorkloadHist(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ah := NewHist()
-	wh := workload.NewHist()
-	for i := 0; i < 50_000; i++ {
-		var ns int64
-		switch i % 4 {
-		case 0:
-			ns = rng.Int63n(16) // exact region
-		case 1:
-			ns = rng.Int63n(100_000)
-		case 2:
-			ns = rng.Int63n(50_000_000)
-		default:
-			ns = rng.Int63n(5_000_000_000)
-		}
-		ah.RecordNs(ns)
-		wh.Record(time.Duration(ns))
-	}
-	var s HistSnapshot
-	ah.Read(&s)
-	if s.Count != wh.Count() {
-		t.Fatalf("count %d != workload %d", s.Count, wh.Count())
-	}
-	if got, want := time.Duration(s.MinNs), wh.Min(); got != want {
-		t.Fatalf("min %v != workload %v", got, want)
-	}
-	if got, want := time.Duration(s.MaxNs), wh.Max(); got != want {
-		t.Fatalf("max %v != workload %v", got, want)
-	}
-	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
-		if got, want := time.Duration(s.Quantile(q)), wh.Quantile(q); got != want {
-			t.Fatalf("q%.3f: %v != workload %v", q, got, want)
-		}
-	}
-}
 
 // TestBucketUpperBound checks the le edges: each bucket's upper bound
 // still maps into the bucket, the next value maps past it, and the
@@ -70,6 +27,106 @@ func TestBucketUpperBound(t *testing.T) {
 		if got := Bucket(ub + 1); got != i+1 {
 			t.Fatalf("Bucket(upper(%d)+1) = %d, want %d", i, got, i+1)
 		}
+	}
+}
+
+// snapshotOf records obs into a fresh histogram and snapshots it.
+func snapshotOf(obs ...time.Duration) HistSnapshot {
+	h := NewHist()
+	for _, d := range obs {
+		h.Record(d)
+	}
+	var s HistSnapshot
+	h.Read(&s)
+	return s
+}
+
+// TestHistQuantiles: quantiles of a uniform 1..1000µs run land within
+// the bucket error, and a merged-in outlier becomes the max and q=1.
+func TestHistQuantiles(t *testing.T) {
+	obs := make([]time.Duration, 0, 1000)
+	for i := 1; i <= 1000; i++ {
+		obs = append(obs, time.Duration(i)*time.Microsecond)
+	}
+	s := snapshotOf(obs...)
+	check := func(q float64, want time.Duration) {
+		t.Helper()
+		got := time.Duration(s.Quantile(q))
+		lo, hi := want*9/10, want*11/10
+		if got < lo || got > hi {
+			t.Fatalf("Quantile(%g) = %v, want within 10%% of %v", q, got, want)
+		}
+	}
+	check(0.50, 500*time.Microsecond)
+	check(0.95, 950*time.Microsecond)
+	check(0.99, 990*time.Microsecond)
+	if time.Duration(s.MaxNs) != time.Millisecond {
+		t.Fatalf("Max = %v, want 1ms", time.Duration(s.MaxNs))
+	}
+
+	o := snapshotOf(5 * time.Millisecond)
+	s.Merge(&o)
+	if s.Count != 1001 || time.Duration(s.MaxNs) != 5*time.Millisecond {
+		t.Fatalf("after merge: count %d max %v", s.Count, time.Duration(s.MaxNs))
+	}
+	if time.Duration(s.Quantile(1)) != 5*time.Millisecond {
+		t.Fatalf("Quantile(1) = %v, want max", time.Duration(s.Quantile(1)))
+	}
+}
+
+// TestQuantileSmallN pins the small-n clamps: with bucket-midpoint
+// representatives, low quantiles on a handful of samples could report
+// values above every observation but the max (or below the min). Every
+// quantile must land inside [min, max].
+func TestQuantileSmallN(t *testing.T) {
+	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	cases := [][]time.Duration{
+		{1000},
+		{900, 1100},
+		{100, 5000, 5001},
+		{70, 900, 901, 40000},
+	}
+	for _, obs := range cases {
+		s := snapshotOf(obs...)
+		min, max := obs[0], obs[0]
+		for _, d := range obs {
+			if d < min {
+				min = d
+			}
+			if d > max {
+				max = d
+			}
+		}
+		if time.Duration(s.MinNs) != min || time.Duration(s.MaxNs) != max {
+			t.Fatalf("n=%d: Min/Max = %v/%v, want %v/%v", len(obs), time.Duration(s.MinNs), time.Duration(s.MaxNs), min, max)
+		}
+		for _, q := range qs {
+			got := time.Duration(s.Quantile(q))
+			if got < min || got > max {
+				t.Errorf("n=%d q=%v: quantile %v outside recorded range [%v, %v]", len(obs), q, got, min, max)
+			}
+		}
+		// A single observation must be reported exactly at any quantile.
+		if len(obs) == 1 && time.Duration(s.Quantile(0.5)) != obs[0] {
+			t.Errorf("n=1: Quantile(0.5) = %v, want %v", time.Duration(s.Quantile(0.5)), obs[0])
+		}
+	}
+	// Merge must propagate the min clamp too.
+	a, b := snapshotOf(10*time.Microsecond), snapshotOf(90*time.Microsecond)
+	a.Merge(&b)
+	if a.MinNs != 10_000 || a.MaxNs != 90_000 {
+		t.Fatalf("merged Min/Max = %d/%d ns", a.MinNs, a.MaxNs)
+	}
+	if q := a.Quantile(0); q < a.MinNs || q > a.MaxNs {
+		t.Fatalf("merged Quantile(0) = %d outside [%d, %d]", q, a.MinNs, a.MaxNs)
+	}
+}
+
+// TestEmptyHistQuantile: the empty histogram stays at zero.
+func TestEmptyHistQuantile(t *testing.T) {
+	s := snapshotOf()
+	if s.Quantile(0.5) != 0 || s.MinNs != 0 || s.MaxNs != 0 || s.Mean() != 0 {
+		t.Fatal("empty histogram reports non-zero statistics")
 	}
 }
 

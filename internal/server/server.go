@@ -2,8 +2,8 @@
 // binary protocol (see protocol.go) whose request path is built around
 // group-commit durability batching.
 //
-// Every connection is served by one goroutine owning one
-// store.BatchSession. The handler drains the connection's pipeline —
+// Every connection is served by one goroutine owning one Batched-mode
+// store session (store.Open(st, store.Batched)). The handler drains the connection's pipeline —
 // everything already buffered, up to Options.MaxBatch — into a batch,
 // groups the batch per shard (stable order, so same-key requests keep
 // their pipeline order), executes it with persistence deferred

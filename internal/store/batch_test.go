@@ -119,7 +119,7 @@ func TestBatchTagsQuiesce(t *testing.T) {
 }
 
 // TestBatchAmortizesFences: the same op stream costs strictly fewer
-// fences — and no more PWBs — through a BatchSession committing every 16
+// fences — and no more PWBs — through a Batched session committing every 16
 // ops than through per-op-persisting plain sessions. This is the
 // group-commit claim at its smallest scale.
 func TestBatchAmortizesFences(t *testing.T) {

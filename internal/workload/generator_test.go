@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestZipfWidensWithKeyspace: under insert-heavy growth the zipfian
@@ -119,65 +118,5 @@ func TestMixValidation(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Errorf("built-in mix %q invalid: %v", m.Name, err)
 		}
-	}
-}
-
-// TestQuantileSmallN pins the small-n clamps: with bucket-midpoint
-// representatives, low quantiles on a handful of samples could report
-// values above every observation but the max (or below the min). Every
-// quantile must land inside [min, max].
-func TestQuantileSmallN(t *testing.T) {
-	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
-	cases := [][]time.Duration{
-		{1000},
-		{900, 1100},
-		{100, 5000, 5001},
-		{70, 900, 901, 40000},
-	}
-	for _, obs := range cases {
-		h := NewHist()
-		var min, max time.Duration
-		min = obs[0]
-		for _, d := range obs {
-			h.Record(d)
-			if d < min {
-				min = d
-			}
-			if d > max {
-				max = d
-			}
-		}
-		if h.Min() != min || h.Max() != max {
-			t.Fatalf("n=%d: Min/Max = %v/%v, want %v/%v", len(obs), h.Min(), h.Max(), min, max)
-		}
-		for _, q := range qs {
-			got := h.Quantile(q)
-			if got < min || got > max {
-				t.Errorf("n=%d q=%v: quantile %v outside recorded range [%v, %v]", len(obs), q, got, min, max)
-			}
-		}
-		// A single observation must be reported exactly at any quantile.
-		if len(obs) == 1 && h.Quantile(0.5) != obs[0] {
-			t.Errorf("n=1: Quantile(0.5) = %v, want %v", h.Quantile(0.5), obs[0])
-		}
-	}
-	// Merge must propagate the min clamp too.
-	a, b := NewHist(), NewHist()
-	a.Record(10 * time.Microsecond)
-	b.Record(90 * time.Microsecond)
-	a.Merge(b)
-	if a.Min() != 10*time.Microsecond || a.Max() != 90*time.Microsecond {
-		t.Fatalf("merged Min/Max = %v/%v", a.Min(), a.Max())
-	}
-	if q := a.Quantile(0); q < a.Min() || q > a.Max() {
-		t.Fatalf("merged Quantile(0) = %v outside [%v, %v]", q, a.Min(), a.Max())
-	}
-}
-
-// TestEmptyHistQuantile: the empty histogram stays at zero.
-func TestEmptyHistQuantile(t *testing.T) {
-	h := NewHist()
-	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram reports non-zero statistics")
 	}
 }

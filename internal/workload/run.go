@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flit/internal/metrics"
 	"flit/internal/store"
 )
 
@@ -22,14 +23,7 @@ type Spec struct {
 	Records uint64
 	// ScanMax bounds workload E's point-read bursts (default 16).
 	ScanMax int
-	// Rate switches the runner to open-loop arrivals: operations are
-	// fired on a fixed schedule at Rate ops/s total (split evenly across
-	// threads) instead of back-to-back, and latency is measured from the
-	// scheduled arrival — queueing delay under overload is charged to
-	// the store, the coordinated-omission-free spelling. Zero keeps the
-	// closed loop. Incompatible with Depth > 1.
-	Rate float64
-	Seed int64
+	Seed    int64
 
 	// Mode selects the session mode each worker runs under (zero value:
 	// store.Direct). Batched workers commit once per window; Combined
@@ -61,9 +55,6 @@ type Result struct {
 	P99 time.Duration `json:"p99_ns"`
 	Max time.Duration `json:"max_ns"`
 
-	// Rate echoes the open-loop arrival rate (0: closed loop).
-	Rate float64 `json:"rate,omitempty"`
-
 	Reads   uint64 `json:"reads"`
 	Updates uint64 `json:"updates"`
 	Inserts uint64 `json:"inserts"`
@@ -82,22 +73,6 @@ type Result struct {
 	// measured window (runtime mallocs delta / ops) — the runner's own
 	// overhead, which the zero-allocation op loop holds at ≈0.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-}
-
-// OpenLoopSchedule computes one worker's slice of a fixed-rate global
-// arrival schedule: the step between the worker's own arrivals and its
-// staggered first-arrival offset, such that the union over workers is
-// evenly spaced at rate ops/s (not workers-sized lockstep bursts). The
-// step is clamped to >= 1ns — an absurd rate would otherwise truncate
-// it to zero and the schedule could never reach its deadline. Shared by
-// the in-process runner and the network load generator so the two
-// open-loop measurements stay comparable.
-func OpenLoopSchedule(rate float64, w, workers int) (step, offset time.Duration) {
-	step = time.Duration(float64(time.Second) * float64(workers) / rate)
-	if step < 1 {
-		step = 1
-	}
-	return step, time.Duration(w) * step / time.Duration(workers)
 }
 
 // Load bulk-inserts key indices [0, records) through threads parallel
@@ -149,13 +124,6 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	if sp.Depth < 1 {
 		sp.Depth = 1
 	}
-	if sp.Depth > 1 && sp.Rate > 0 {
-		return Result{}, fmt.Errorf("workload: open-loop arrivals (Rate) and windowed execution (Depth > 1) are mutually exclusive")
-	}
-	scanMax := sp.ScanMax
-	if scanMax < 1 {
-		scanMax = 16
-	}
 
 	var limit atomic.Uint64
 	limit.Store(sp.Records)
@@ -170,7 +138,9 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 
 	st.Mem().ResetStats()
 	var wg sync.WaitGroup
-	hists := make([]*Hist, sp.Threads)
+	// One histogram per worker: workers never share a bucket cacheline,
+	// and the merge below is the only cross-worker step.
+	hists := make([]*metrics.Hist, sp.Threads)
 	var kindCounts [numKinds][]uint64
 	for k := range kindCounts {
 		kindCounts[k] = make([]uint64, sp.Threads)
@@ -189,7 +159,7 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 			defer wg.Done()
 			sess := store.Open[[]byte](st, sp.Mode)
 			g := gens[t]
-			h := NewHist()
+			h := metrics.NewHist()
 			hists[t] = h
 			if sp.Depth > 1 {
 				runWindowed(sess, g, sp, h, &limit, kindCounts[:], t, deadline)
@@ -206,31 +176,9 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 				keyBuf = AppendKey(keyBuf[:0], i)
 				return keyBuf
 			}
-			// Open loop: each worker owns every sp.Threads-th slot of the
-			// global arrival schedule; an op whose slot has not arrived
-			// yet waits, an op running late starts immediately and its
-			// queueing delay lands in the histogram.
-			var step time.Duration
-			var next time.Time
-			open := sp.Rate > 0
-			if open {
-				var off time.Duration
-				step, off = OpenLoopSchedule(sp.Rate, t, sp.Threads)
-				next = start.Add(off)
-			}
 			batched := sp.Mode == store.Batched
 			prev := time.Now()
-			for {
-				if open {
-					if !next.Before(deadline) {
-						break
-					}
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-				} else if prev.After(deadline) {
-					break
-				}
+			for !prev.After(deadline) {
 				op := g.Next()
 				switch op.Kind {
 				case Read:
@@ -256,12 +204,7 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 					sess.Commit()
 				}
 				now := time.Now()
-				if open {
-					h.Record(now.Sub(next))
-					next = next.Add(step)
-				} else {
-					h.Record(now.Sub(prev))
-				}
+				h.Record(now.Sub(prev))
 				prev = now
 				kindCounts[op.Kind][t]++
 			}
@@ -272,9 +215,10 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 
-	all := NewHist()
+	var all, one metrics.HistSnapshot
 	for _, h := range hists {
-		all.Merge(h)
+		h.Read(&one)
+		all.Merge(&one)
 	}
 	sum := func(xs []uint64) uint64 {
 		var s uint64
@@ -289,12 +233,15 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 		ops += sum(kindCounts[k])
 	}
 	res := Result{
-		Mix: sp.Mix, Dist: sp.Dist, Threads: sp.Threads, Rate: sp.Rate,
+		Mix: sp.Mix, Dist: sp.Dist, Threads: sp.Threads,
 		// Ops counts generated operations (a scan burst is one op), which
 		// equals the histogram count at Depth 1; windowed runs record one
 		// latency sample per window, so the histogram undercounts there.
 		Elapsed: elapsed, Ops: ops,
-		P50: all.Quantile(0.50), P95: all.Quantile(0.95), P99: all.Quantile(0.99), Max: all.Max(),
+		P50:     time.Duration(all.Quantile(0.50)),
+		P95:     time.Duration(all.Quantile(0.95)),
+		P99:     time.Duration(all.Quantile(0.99)),
+		Max:     time.Duration(all.MaxNs),
 		Reads:   sum(kindCounts[Read]),
 		Updates: sum(kindCounts[Update]),
 		Inserts: sum(kindCounts[Insert]),
@@ -324,12 +271,8 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 // into a Get slot and a Put slot; a Scan expands into its point-read
 // burst; both may run a window a few slots past Depth rather than split
 // an operation across windows.
-func runWindowed(sess *store.Sess[[]byte], g *Generator, sp Spec, h *Hist, limit *atomic.Uint64, kindCounts [][]uint64, t int, deadline time.Time) {
-	scanMax := sp.ScanMax
-	if scanMax < 1 {
-		scanMax = 16
-	}
-	maxWin := sp.Depth + scanMax
+func runWindowed(sess *store.Sess[[]byte], g *Generator, sp Spec, h *metrics.Hist, limit *atomic.Uint64, kindCounts [][]uint64, t int, deadline time.Time) {
+	maxWin := sp.Depth + g.scanMax
 	ops := make([]store.Op[[]byte], 0, maxWin)
 	res := make([]store.Result, maxWin)
 	bufs := make([][]byte, maxWin)
