@@ -91,6 +91,8 @@ type recoveryJSON struct {
 	SerialNs    int64   `json:"serial_ns"` // sum of per-shard times
 	Parallelism float64 `json:"parallel_speedup"`
 	Keys        int     `json:"keys_recovered"`
+	Relinked    int     `json:"relinked"` // link words rewritten
+	Moved       int     `json:"moved"`    // keys copied to another shard
 }
 
 func modeByName(name string) (dstruct.Mode, error) {
@@ -225,6 +227,8 @@ func main() {
 				ShardNs:   shardNs,
 				SerialNs:  serial,
 				Keys:      verdict.Recovery.Keys,
+				Relinked:  verdict.Recovery.Relinked,
+				Moved:     verdict.Recovery.Moved,
 			}
 			if rec.ElapsedNs > 0 {
 				rec.Parallelism = float64(serial) / float64(rec.ElapsedNs)
@@ -315,14 +319,15 @@ func printSummary(rep report) {
 			rep.Config.Workload, rep.Config.Dist, rep.Config.Policy,
 			rep.Config.Shards, rep.Config.Threads, rep.Config.Records),
 		ColHead: "cycle",
-		Cols:    []string{"kops/s", "p50 µs", "p95 µs", "p99 µs", "pwbs/op", "recover ms", "par x"},
+		Cols:    []string{"kops/s", "p50 µs", "p95 µs", "p99 µs", "pwbs/op", "recover ms", "par x", "relinked", "moved"},
 		Unit:    "per-cycle",
 	}
 	for _, c := range rep.Cycles {
-		recMs, par := 0.0, 0.0
+		recMs, par, relinked, moved := 0.0, 0.0, 0.0, 0.0
 		if c.Recovery != nil {
 			recMs = float64(c.Recovery.ElapsedNs) / 1e6
 			par = c.Recovery.Parallelism
+			relinked, moved = float64(c.Recovery.Relinked), float64(c.Recovery.Moved)
 		}
 		check := "skipped"
 		if c.Crash != nil {
@@ -334,7 +339,7 @@ func printSummary(rep report) {
 			float64(c.Run.P95.Nanoseconds())/1e3,
 			float64(c.Run.P99.Nanoseconds())/1e3,
 			c.Run.PWBsPerOp,
-			recMs, par)
+			recMs, par, relinked, moved)
 	}
 	fmt.Fprintln(os.Stderr, t.Format())
 }

@@ -5,6 +5,9 @@
 package hashtable
 
 import (
+	"fmt"
+	"sort"
+
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/list"
@@ -83,7 +86,12 @@ func (t *Table) bucketIdx(key uint64) int {
 
 // bucketHead returns the address of the bucket link word for key.
 func (t *Table) bucketHead(key uint64) pmem.Addr {
-	return t.cfg.Field(t.base, 1+t.bucketIdx(key))
+	return t.head(t.bucketIdx(key))
+}
+
+// head returns the address of bucket i's link word.
+func (t *Table) head(i int) pmem.Addr {
+	return t.cfg.Field(t.base, 1+i)
 }
 
 // Thread is a per-goroutine handle to the table.
@@ -149,108 +157,172 @@ func (th *Thread) Get(key uint64) (uint64, bool) {
 func (t *Table) Snapshot() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
 	for i := 0; i < int(t.buckets); i++ {
-		for k, v := range t.l.SnapshotAt(t.cfg.Field(t.base, 1+i)) {
+		for k, v := range t.l.SnapshotAt(t.head(i)) {
 			out[k] = v
 		}
 	}
 	return out
 }
 
-// Recover rebuilds a durably consistent table from the structure persisted
-// at cfg's root slot. The bucket array itself survives as-is (it is
-// immutable after construction); each bucket chain is gathered and
-// re-laid-out clean, like list recovery.
+// Recover takes over the table persisted at cfg's root slot in place:
+// the bucket array survives as-is (it is immutable after construction)
+// and each bucket chain is recovered like a list (see list.RecoverAt). A
+// corrupt image panics; the store's Recover is the boundary that reports
+// one as an error.
 func Recover(cfg dstruct.Config) *Table {
-	tbl, _ := RecoverCount(cfg)
+	r, err := BeginRecover(cfg, list.HeapRegion(cfg.Heap, true), nil, 0)
+	if err == nil {
+		err = r.Import(r.Strays())
+	}
+	var tbl *Table
+	if err == nil {
+		tbl, _, err = r.Complete()
+	}
+	if err != nil {
+		panic(err)
+	}
 	return tbl
 }
 
-// RecoverCount is Recover, additionally reporting how many key→value
-// pairs survived — the gather pass already knows, so callers doing
-// shard-parallel recovery need not re-scan the table to count keys.
-func RecoverCount(cfg dstruct.Config) (*Table, int) {
-	return BeginRecover(cfg).Complete()
-}
-
-// Recovery is a two-phase table recovery: BeginRecover gathers every
-// bucket's surviving pairs into process memory, Complete rebuilds the
-// chains and fences. The split exists because recovery may run with a
-// stale allocation watermark (the embedding process crashed before it
-// could carry the newer one forward), in which case the rebuild's fresh
-// nodes can land on addresses still holding chains that have not been
-// gathered yet. Within one table the two phases order that correctly;
-// recoveries sharing one heap (the store's shard-parallel rebuild) must
-// additionally barrier between everyone's gather and anyone's rebuild.
+// Recovery is a table recovery in three steps, so that a caller
+// recovering several tables over one heap (the store's shards) can order
+// them: BeginRecover scans every bucket, Import copies in the live keys
+// that belong here but were found elsewhere, Complete relinks the chains.
+// Import fences before it returns, and every table's Import must return
+// before any table's Complete drops the stale copies it superseded.
 type Recovery struct {
-	cfg   dstruct.Config
-	tbl   *Table
-	pairs []map[uint64]uint64
-	keys  int
+	cfg    dstruct.Config
+	tbl    *Table
+	owns   func(uint64) bool
+	dirty  []int // buckets whose links change, ascending per step
+	strays []list.Survivor
+	n      list.Counts
 }
 
-// BeginRecover attaches the persisted table and gathers every bucket's
-// surviving pairs (phase one; writes nothing).
-func BeginRecover(cfg dstruct.Config) *Recovery {
-	tbl := Attach(cfg)
-	r := &Recovery{cfg: cfg, tbl: tbl, pairs: make([]map[uint64]uint64, tbl.buckets)}
-	for i := range r.pairs {
-		r.pairs[i] = list.GatherAt(&cfg, cfg.Field(tbl.base, 1+i))
-		r.keys += len(r.pairs[i])
+// BeginRecover attaches the table persisted at cfg's root slot and scans
+// every bucket (list.Scan), claiming the header and every node in
+// region; it writes no link. owns reports whether a key belongs in this
+// table (nil: every key); a key belongs in a bucket when the table owns
+// it and it hashes there. buckets, when non-zero, is
+// the bucket count the header must hold. A table whose anchor never
+// persisted — a crash inside New, or a policy that persists nothing —
+// recovers empty, built afresh with buckets buckets (at least one).
+func BeginRecover(cfg dstruct.Config, region *list.Region, owns func(uint64) bool, buckets int) (*Recovery, error) {
+	mem := cfg.Heap.Mem()
+	r := &Recovery{cfg: cfg, owns: owns}
+	base := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
+	if base == pmem.NilAddr {
+		r.tbl = New(cfg, max(buckets, 1))
+		return r, nil
 	}
-	return r
-}
-
-// Keys reports the surviving pair count gathered by BeginRecover.
-func (r *Recovery) Keys() int { return r.keys }
-
-// Pairs returns a copy of the union of the gathered per-bucket pairs —
-// the table's surviving contents. Callers that redistribute keys across
-// tables (the store's shard-split recovery) read every table's pairs,
-// recompute each table's final contents, and rebuild with CompleteWith.
-func (r *Recovery) Pairs() map[uint64]uint64 {
-	out := make(map[uint64]uint64, r.keys)
-	for _, b := range r.pairs {
-		for k, v := range b {
-			out[k] = v
+	if !region.Holds(base, cfg.Words(1)) {
+		return nil, fmt.Errorf("hashtable: header %#x outside the heap [%#x,%#x)", base, region.Lo, region.Hi)
+	}
+	b := mem.VolatileWord(cfg.Field(base, fCount))
+	if b == 0 || b&(b-1) != 0 || b > uint64(region.Hi-region.Lo) || (buckets != 0 && b != uint64(buckets)) {
+		return nil, fmt.Errorf("hashtable: header %#x holds bucket count %d", base, b)
+	}
+	if err := region.Claim(base, cfg.Words(1+int(b))); err != nil {
+		return nil, fmt.Errorf("hashtable: header: %w", err)
+	}
+	r.tbl = attach(cfg, base, b)
+	t := mem.RegisterThread()
+	defer t.Release()
+	var kept []list.Survivor
+	for i := 0; i < int(b); i++ {
+		var dirty bool
+		var err error
+		kept, r.strays, dirty, err = r.scan(t, region, i, kept[:0], r.strays)
+		if err != nil {
+			return nil, err
+		}
+		r.n.Keys += len(kept)
+		if dirty {
+			r.dirty = append(r.dirty, i)
 		}
 	}
-	return out
+	return r, nil
 }
 
-// Complete rebuilds every bucket chain from the gathered pairs and
-// fences (phase two), returning the recovered table and its key count.
-func (r *Recovery) Complete() (*Table, int) {
-	return r.complete(r.pairs)
+// scan runs list.Scan on bucket i in region. BeginRecover claims every
+// node in the caller's region; the later steps rescan chains it already
+// vetted, checking bounds only against the heap's current watermark,
+// which takes in the copies Import made.
+func (r *Recovery) scan(t *pmem.Thread, region *list.Region, i int, kept, strays []list.Survivor) ([]list.Survivor, []list.Survivor, bool, error) {
+	home := func(k uint64) bool { return r.tbl.bucketIdx(k) == i && (r.owns == nil || r.owns(k)) }
+	return list.Scan(&r.cfg, t, region, r.tbl.head(i), home, kept, strays)
 }
 
-// CompleteWith is Complete with the table's final contents overridden:
-// the chains are rebuilt to hold exactly pairs, partitioned by the
-// table's own bucket hash. The store's shard-split recovery uses it to
-// move keys between shards while rebuilding each table in place.
-func (r *Recovery) CompleteWith(pairs map[uint64]uint64) (*Table, int) {
-	byBucket := make([]map[uint64]uint64, r.tbl.buckets)
-	for i := range byBucket {
-		byBucket[i] = make(map[uint64]uint64)
-	}
-	for k, v := range pairs {
-		byBucket[r.tbl.bucketIdx(k)][k] = v
-	}
-	return r.complete(byBucket)
-}
+// Strays returns the live nodes BeginRecover found off their home
+// bucket: on the wrong bucket or table, or out of key order. The caller
+// routes each to the Import of the table that owns its key.
+func (r *Recovery) Strays() []list.Survivor { return r.strays }
 
-// complete rebuilds every bucket chain and fences once at the end.
+// Import copies pairs — keys this table owns that survived elsewhere —
+// into fresh nodes on their buckets (list.Splice) and fences the links
+// that publish them. A key the table already
+// holds keeps its node; among pairs with one key, the earliest wins.
+// Outside a crashed shard split pairs is empty and Import writes nothing.
 //
-//flit:rawpersist recovery is single-threaded; one fence persists all rebuilt chains
-func (r *Recovery) complete(byBucket []map[uint64]uint64) (*Table, int) {
-	t := r.cfg.Heap.Mem().RegisterThread()
-	ar := r.cfg.Heap.NewArena()
-	n := 0
-	for i := range byBucket {
-		list.RebuildAt(&r.cfg, t, ar, r.cfg.Field(r.tbl.base, 1+i), byBucket[i])
-		n += len(byBucket[i])
+//flit:rawpersist single-threaded recovery fences the links publishing its copies before returning
+func (r *Recovery) Import(pairs []list.Survivor) error {
+	if len(pairs) == 0 {
+		return nil
 	}
-	t.PFence()
-	ar.Release()
-	t.Release()
-	return r.tbl, n
+	sort.SliceStable(pairs, func(i, j int) bool {
+		bi, bj := r.tbl.bucketIdx(pairs[i].Key), r.tbl.bucketIdx(pairs[j].Key)
+		return bi < bj || (bi == bj && pairs[i].Key < pairs[j].Key)
+	})
+	t := r.cfg.Heap.Mem().RegisterThread()
+	defer t.Release()
+	ar := r.cfg.Heap.NewArena()
+	defer ar.Release()
+	vetted := list.HeapRegion(r.cfg.Heap, false)
+	var kept, strays []list.Survivor
+	for lo := 0; lo < len(pairs); {
+		b := r.tbl.bucketIdx(pairs[lo].Key)
+		hi := lo + 1
+		for hi < len(pairs) && r.tbl.bucketIdx(pairs[hi].Key) == b {
+			hi++
+		}
+		var err error
+		if kept, strays, _, err = r.scan(t, vetted, b, kept[:0], strays[:0]); err != nil {
+			return err
+		}
+		made := list.Splice(&r.cfg, t, ar, r.tbl.head(b), kept, pairs[lo:hi])
+		r.n.Keys += made
+		r.n.Moved += made
+		r.dirty = append(r.dirty, b)
+		lo = hi
+	}
+	if r.n.Moved > 0 {
+		t.PFence()
+	}
+	return nil
+}
+
+// Complete relinks every bucket whose chain drops a node (list.Relink)
+// and fences, returning the recovered table and what recovery did.
+//
+//flit:rawpersist single-threaded recovery fences the rewritten links before the table is attached
+func (r *Recovery) Complete() (*Table, list.Counts, error) {
+	sort.Ints(r.dirty)
+	t := r.cfg.Heap.Mem().RegisterThread()
+	defer t.Release()
+	vetted := list.HeapRegion(r.cfg.Heap, false)
+	var kept, strays []list.Survivor
+	for j, b := range r.dirty {
+		if j > 0 && r.dirty[j-1] == b {
+			continue
+		}
+		var err error
+		if kept, strays, _, err = r.scan(t, vetted, b, kept[:0], strays[:0]); err != nil {
+			return nil, r.n, err
+		}
+		r.n.Relinked += list.Relink(&r.cfg, t, r.tbl.head(b), kept)
+	}
+	if r.n.Relinked > 0 {
+		t.PFence()
+	}
+	return r.tbl, r.n, nil
 }

@@ -2,6 +2,7 @@ package list
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,7 +202,9 @@ func TestRecoveryAfterCleanShutdown(t *testing.T) {
 	}
 }
 
-func TestRecoveryIgnoresCycles(t *testing.T) {
+// TestRecoveryRejectsCycles: a chain that revisits a node (a corrupt
+// image) must fail recovery with an error instead of hanging it.
+func TestRecoveryRejectsCycles(t *testing.T) {
 	cfg := configs(1 << 14)[0]
 	l := New(cfg)
 	th := l.Open(dstruct.ThreadOpts{})
@@ -213,9 +216,14 @@ func TestRecoveryIgnoresCycles(t *testing.T) {
 	n2 := dstruct.Ptr(mem.VolatileWord(cfg.Field(n1, fNext)))
 	raw := mem.RegisterThread()
 	raw.Store(cfg.Field(n2, fNext), uint64(n1))
-	pairs := GatherAt(&cfg, cfg.Root())
-	if len(pairs) != 2 {
-		t.Fatalf("gather on cyclic chain returned %d pairs, want 2", len(pairs))
+	_, err := RecoverAt(&cfg, raw, HeapRegion(cfg.Heap, true), cfg.Root())
+	if err == nil || !strings.Contains(err.Error(), "reached twice") {
+		t.Fatalf("recovery of a cyclic chain returned %v, want a reached-twice error", err)
+	}
+	// A link out of the heap is rejected the same way.
+	raw.Store(cfg.Field(n2, fNext), uint64(mem.Words()+64))
+	if _, err := RecoverAt(&cfg, raw, HeapRegion(cfg.Heap, true), cfg.Root()); err == nil || !strings.Contains(err.Error(), "outside the heap") {
+		t.Fatalf("recovery of a chain leaving the heap returned %v, want a bounds error", err)
 	}
 }
 

@@ -130,6 +130,21 @@ func (h *Heap) Mem() *pmem.Memory { return h.mem }
 // a simulated crash.
 func (h *Heap) Watermark() uint64 { return h.bump.Load() }
 
+// Fits reports whether count objects of n words each, allocated through
+// at most arenas fresh arenas, fit in the memory not yet allocated.
+func (h *Heap) Fits(arenas, count, n int) bool {
+	if n <= 0 || n > maxAlloc || count < 0 || arenas < 1 {
+		return false
+	}
+	need := uint64(count)*uint64(sizeClass(n)) + uint64(arenas)*max(chunkWords, uint64(sizeClass(n)))
+	w, words := h.bump.Load(), uint64(h.mem.Words())
+	return w <= words && words-w >= need
+}
+
+// Base returns the first allocatable word, just past the root region:
+// every object the heap ever handed out lies in [Base, Watermark).
+func (h *Heap) Base() uint64 { return heapBaseFor(h.roots) }
+
 // NumRootSlots returns the size of this heap's root region.
 func (h *Heap) NumRootSlots() int { return h.roots }
 

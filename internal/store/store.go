@@ -29,6 +29,7 @@ import (
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/hashtable"
+	"flit/internal/dstruct/list"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
@@ -377,35 +378,60 @@ func (s *Store) Snapshot() map[uint64]uint64 {
 	return out
 }
 
-// RecoveryStats reports one post-crash rebuild.
+// RecoveryStats reports one post-crash recovery.
 type RecoveryStats struct {
-	// Elapsed is the wall time of the shard-parallel rebuild.
+	// Elapsed is the wall time of the shard-parallel recovery.
 	Elapsed time.Duration
-	// Shards holds per-shard rebuild times; max(Shards) ≈ Elapsed when
+	// Shards holds per-shard recovery times; max(Shards) ≈ Elapsed when
 	// enough cores are available, sum(Shards) is the serial cost avoided.
 	Shards []time.Duration
 	// Keys is the number of keys present after recovery.
 	Keys int
+	// Relinked is the number of link words recovery rewrote: one per run
+	// of dropped nodes (deleted but not yet unlinked at the crash, or
+	// superseded by an imported copy). Zero for a quiesced image.
+	Relinked int
+	// Moved is the number of keys copied into fresh nodes on another
+	// shard — the keys a crashed split left behind. Zero outside a split.
+	Moved int
 }
 
-// Recover rebuilds a store from a crash image already loaded into mem.
+// Recover takes a store over from a crash image already loaded into mem.
 // The superblock (fixed root slot 0) self-describes shard count and
 // buckets; opts supplies what is deliberately volatile — policy, mode,
 // sizing hints — and must match the pre-crash configuration, as with any
-// persistent layout. All shards recover in parallel, each on its own
-// goroutine with its own pmem thread and arena.
+// persistent layout. watermark is the heap watermark carried across the
+// crash.
+//
+// Recovery is in place (see hashtable.Recovery and list.Scan): every
+// surviving node stays where it is and only the links that skip dropped
+// nodes are rewritten, so a quiesced image recovers with no persistent
+// write and no allocation, and recovery needs no spare heap. All shards
+// recover in parallel, each on its own goroutine and pmem thread, in
+// three steps separated by barriers: every shard scans; every shard
+// imports the live keys it owns that were found elsewhere and fences;
+// every shard relinks and fences.
 //
 // A crash mid-split (superblock fNewShards > fShards) recovers to the
-// POST-split layout: every table — old shards and split targets alike —
-// is gathered first (global barrier), then rebuilt in place with the keys
-// the target shard count assigns it, preferring a target table's copy of
-// a key over a stale old-shard copy (session Puts during migration upsert
-// the target only, and the deletion order old-then-new means a key caught
-// mid-delete survives nowhere it shouldn't). The rule is applied
-// uniformly to every shard, so it needs no migration cursor and is
-// idempotent: a crash during this recovery re-runs it from the same
-// still-active superblock, and only the final single-word fShards flip —
-// after every rebuild has fenced — marks the split complete.
+// POST-split layout: a key belongs to shard key mod fNewShards, and a
+// key found elsewhere is copied into that shard unless the shard already
+// holds it — the target copy is authoritative, since session Puts during
+// migration upsert the target only, and the migrator's delete order
+// old-then-new means a key caught mid-delete survives nowhere it
+// shouldn't. The barrier between imports and relinks orders every copy's
+// persist before the removal of its stale original. The rule needs no
+// migration cursor and is idempotent: a crash during this recovery
+// re-runs it from the same still-active superblock, and only the final
+// single-word fShards flip — after every relink has fenced — marks the
+// split complete. Like every allocation, the copies raise the heap
+// watermark, which must be carried across a crash during recovery too:
+// a link at or above the carried watermark is rejected as corrupt.
+//
+// Recover returns an error, and never panics or loops, on an image it
+// cannot take over: a missing or malformed superblock, a directory or
+// table header outside the heap, or a chain that leaves the heap, runs
+// into a node or header already reached (list.Region) or holds an
+// out-of-range key.
 func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, RecoveryStats, error) {
 	o := opts.withDefaults()
 	var rs RecoveryStats
@@ -419,15 +445,23 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 	probeHeap := pheap.RecoverWithRoots(mem, watermark, 1)
 	probeCfg := dstruct.Config{Heap: probeHeap, Policy: probe, Mode: o.Mode, RootSlot: superRoot, Stride: stride}
 	sb := dstruct.Ptr(mem.VolatileWord(probeCfg.Root()))
-	if sb == pmem.NilAddr {
+	bounds := list.HeapRegion(probeHeap, false)
+	if !bounds.Holds(sb, probeCfg.Words(superFields)) {
 		return nil, rs, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
 	}
 	magic := mem.VolatileWord(probeCfg.Field(sb, fMagic))
 	if magic != Magic && magic != Magic2 {
 		return nil, rs, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
 	}
+	sbWords := probeCfg.Words(superFields)
+	if magic == Magic2 {
+		sbWords = probeCfg.Words(superFields2)
+	}
+	if !bounds.Holds(sb, sbWords) {
+		return nil, rs, fmt.Errorf("store: superblock at %d overruns the heap", sb)
+	}
 	shards := int(mem.VolatileWord(probeCfg.Field(sb, fShards)))
-	buckets := int(mem.VolatileWord(probeCfg.Field(sb, fBuckets)))
+	buckets := mem.VolatileWord(probeCfg.Field(sb, fBuckets))
 	if shards < 1 || shards > MaxShards {
 		return nil, rs, fmt.Errorf("store: superblock shard count %d outside [1,%d]", shards, MaxShards)
 	}
@@ -445,10 +479,7 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 			return nil, rs, fmt.Errorf("store: superblock has grown shards but no directory pointer")
 		}
 	}
-	o.Shards, o.Buckets = newShards, buckets
-
 	st := &Store{
-		opts:       o,
 		mem:        mem,
 		heap:       pheap.RecoverWithRoots(mem, watermark, base+1),
 		policy:     probe,
@@ -456,6 +487,14 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 		baseShards: base,
 		sbAddr:     sb,
 	}
+	if buckets == 0 || buckets&(buckets-1) != 0 || buckets > uint64(mem.Words()) {
+		return nil, rs, fmt.Errorf("store: superblock bucket count %d invalid", buckets)
+	}
+	if newShards > base && !list.HeapRegion(st.heap, false).Holds(dir, (newShards-base)*dirSpacing(stride)) {
+		return nil, rs, fmt.Errorf("store: shard directory %#x outside the heap", dir)
+	}
+	o.Shards, o.Buckets = newShards, int(buckets)
+	st.opts = o
 	// cfgShard addresses shard i's anchor: a root slot below base, a
 	// directory slot at or above it.
 	cfgShard := func(i int) dstruct.Config {
@@ -464,83 +503,97 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 		}
 		return st.cfgAt(dirSlotAddr(dir, i-base, stride))
 	}
+	// A shard whose anchor never persisted — a crash inside New, or a
+	// policy that persists nothing — recovers empty, built afresh here,
+	// before the recovery region is fixed so that it takes them in.
+	for i := 0; i < newShards; i++ {
+		if cfg := cfgShard(i); mem.VolatileWord(cfg.Root()) == 0 {
+			if !st.heap.Fits(1, 1, cfg.Words(1+o.Buckets)) {
+				return nil, rs, fmt.Errorf("store: no room to rebuild shard %d, whose anchor never persisted", i)
+			}
+			hashtable.New(cfg, o.Buckets)
+		}
+	}
+	// One claim-tracking region for every shard: no two objects recovery
+	// reaches may share a word (see list.Region).
+	region := list.HeapRegion(st.heap, true)
+	if err := region.Claim(sb, sbWords); err != nil {
+		return nil, rs, fmt.Errorf("store: superblock: %w", err)
+	}
+	if newShards > base {
+		if err := region.Claim(dir, (newShards-base)*dirSpacing(stride)); err != nil {
+			return nil, rs, fmt.Errorf("store: shard directory: %w", err)
+		}
+	}
+	home := func(k uint64) int { return int(k % uint64(newShards)) }
 
 	rs.Shards = make([]time.Duration, newShards)
-	keys := make([]int, newShards)
-	tables := make([]*hashtable.Table, newShards)
 	start := time.Now()
-	// Two-phase, with a global barrier between everyone's gather and
-	// anyone's rebuild: when the carried watermark is stale (the process
-	// crashed during a previous recovery before it could hand the newer
-	// watermark forward), a shard's fresh rebuild nodes can land on
-	// addresses still holding another shard's not-yet-gathered chains.
-	// Gathering writes nothing, so once every shard has its pairs in
-	// process memory the rebuilds may clobber those regions freely. The
-	// mid-split key redistribution reuses the same barrier: it needs every
-	// table's pairs before any table's final contents are known.
-	recovering := make([]*hashtable.Recovery, newShards)
-	var wg sync.WaitGroup
-	for i := 0; i < newShards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			recovering[i] = hashtable.BeginRecover(cfgShard(i))
-			rs.Shards[i] = time.Since(t0)
-		}(i)
+	// parallel runs step(i) for every shard on its own goroutine and
+	// returns once all have finished: the barrier between steps.
+	parallel := func(step func(i int) error) error {
+		errs := make([]error, newShards)
+		var wg sync.WaitGroup
+		for i := 0; i < newShards; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				t0 := time.Now()
+				errs[i] = step(i)
+				rs.Shards[i] += time.Since(t0)
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	wg.Wait()
 
-	// finals[i] is what shard i holds after recovery. Idle stores keep
-	// each table's own gather; a crashed split redistributes by the
-	// target shard count, preferring target-table copies.
-	finals := make([]map[uint64]uint64, newShards)
-	if newShards == shards {
-		for i := range finals {
-			finals[i] = recovering[i].Pairs()
-		}
-	} else {
-		// Targets above the old serving count start from their own gather
-		// (everything in them is authoritative); old serving shards start
-		// empty and are refilled below — a non-doubling split can move keys
-		// BETWEEN serving shards (k%oldN ≠ k%newN with both below oldN), so
-		// every serving shard's contents must be recomputed, not kept.
-		for i := shards; i < newShards; i++ {
-			finals[i] = recovering[i].Pairs()
-		}
-		for i := 0; i < shards; i++ {
-			finals[i] = make(map[uint64]uint64)
-		}
-		for i := 0; i < shards; i++ {
-			for k, v := range recovering[i].Pairs() {
-				nj := int(k % uint64(newShards))
-				if nj == i {
-					// This table IS the key's target: its copy is
-					// authoritative, overwriting any stale moved-in copy an
-					// earlier iteration placed here.
-					finals[i][k] = v
-				} else if _, inTarget := finals[nj][k]; !inTarget {
-					// Stale pre-move copy: only lands if the target has not
-					// produced its authoritative copy yet; the target table's
-					// own pass overwrites it if one exists.
-					finals[nj][k] = v
+	recs := make([]*hashtable.Recovery, newShards)
+	err = parallel(func(i int) (err error) {
+		owns := func(k uint64) bool { return home(k) == i }
+		recs[i], err = hashtable.BeginRecover(cfgShard(i), region, owns, o.Buckets)
+		return err
+	})
+	if err != nil {
+		return nil, rs, fmt.Errorf("store: %w", err)
+	}
+	// Route every stray to its home shard, the home shard's own strays
+	// first: Import keeps the earliest pair of a key.
+	imports := make([][]list.Survivor, newShards)
+	for _, own := range []bool{true, false} {
+		for i, r := range recs {
+			for _, s := range r.Strays() {
+				if j := home(s.Key); (j == i) == own {
+					imports[j] = append(imports[j], s)
 				}
 			}
 		}
 	}
-
-	for i := 0; i < newShards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			tables[i], keys[i] = recovering[i].CompleteWith(finals[i])
-			rs.Shards[i] += time.Since(t0)
-		}(i)
+	moves := 0
+	for _, im := range imports {
+		moves += len(im)
 	}
-	wg.Wait()
+	if moves > 0 && !st.heap.Fits(newShards, moves, probeCfg.Words(list.NumFields)) {
+		return nil, rs, fmt.Errorf("store: no room to copy %d keys to their shards", moves)
+	}
+	if err := parallel(func(j int) error { return recs[j].Import(imports[j]) }); err != nil {
+		return nil, rs, fmt.Errorf("store: %w", err)
+	}
+	tables := make([]*hashtable.Table, newShards)
+	counts := make([]list.Counts, newShards)
+	err = parallel(func(i int) (err error) {
+		tables[i], counts[i], err = recs[i].Complete()
+		return err
+	})
+	if err != nil {
+		return nil, rs, fmt.Errorf("store: %w", err)
+	}
 	if newShards > shards {
-		// Every rebuild has fenced; the single-word serving-count flip is
+		// Every relink has fenced; the single-word serving-count flip is
 		// the split's idempotent commit point.
 		t := mem.RegisterThread()
 		st.sbWrite(t, fShards, uint64(newShards))
@@ -548,8 +601,10 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 	}
 	st.lay.Store(&layout{tables: tables})
 	rs.Elapsed = time.Since(start)
-	for _, k := range keys {
-		rs.Keys += k
+	for _, c := range counts {
+		rs.Keys += c.Keys
+		rs.Relinked += c.Relinked
+		rs.Moved += c.Moved
 	}
 	kept := rs
 	st.recovered = &kept
