@@ -44,6 +44,7 @@ import (
 	"flit/internal/dstruct"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/store"
 )
 
 func policyByName(name string, words int) core.Policy {
@@ -78,7 +79,7 @@ func modeByName(name string) dstruct.Mode {
 
 func main() {
 	rounds := flag.Int("rounds", 60, "seeded crash rounds per combination")
-	dsFilter := flag.String("ds", "", "restrict to one structure (list|hashtable|skiplist|bst|lockmap; with -dlcheck also queue|store|store-batched|store-combined|store-split)")
+	dsFilter := flag.String("ds", "", "restrict to one structure ("+targetNames(false)+"; with -dlcheck also "+dlOnlyNames()+")")
 	modeFilter := flag.String("mode", "", "restrict to one durability mode (automatic|nvtraverse|manual)")
 	polFilter := flag.String("policy", "", "restrict to one policy (flit-ht|flit-adjacent|flit-packed|flit-perline|plain|izraelevitz|link-and-persist)")
 	seed0 := flag.Int64("seed", 1, "first seed")
@@ -152,8 +153,8 @@ func main() {
 		}
 	}
 	if total == 0 {
-		fmt.Fprintf(os.Stderr, "flitcrash: no rounds matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst; queue|store need -dlcheck; link-and-persist applies only to list|hashtable|skiplist|lockmap)\n",
-			*dsFilter, *modeFilter, *polFilter)
+		fmt.Fprintf(os.Stderr, "flitcrash: no rounds matched -ds %q / -mode %q / -policy %q (structures: %s; %s need -dlcheck; link-and-persist applies only to %s)\n",
+			*dsFilter, *modeFilter, *polFilter, targetNames(false), dlOnlyNames(), targetNames(true))
 		os.Exit(2)
 	}
 	fmt.Printf("flitcrash: %d rounds, %d violations, %v\n", total, failures, time.Since(start).Round(time.Millisecond))
@@ -162,10 +163,63 @@ func main() {
 	}
 }
 
+// storeBatteries is the -dlcheck store table: one row per route into
+// the sharded store, each enumerated over durability modes × policies ×
+// rounds on a fresh crashtest.NewDLStore. The row names are the -ds
+// values; link-and-persist applies to every row.
+var storeBatteries = []struct {
+	name string
+	run  func(st *store.Store, opts dlcheck.Options) *dlcheck.Report
+}{
+	// Per-op Direct sessions: every operation persists before it responds.
+	{"store", func(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+		return crashtest.RunStoreDL(st, store.Direct, opts)
+	}},
+	// The batched (group-commit) request path: the network server's
+	// executor, one commit fence per pipelined batch, responses recorded
+	// only after it.
+	{"store-batched", func(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+		return crashtest.RunStoreDL(st, store.Batched, opts)
+	}},
+	// The embedded flat-combining path: one fence per combining window,
+	// so boundaries land inside windows merging several sessions' vectors.
+	{"store-combined", func(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+		return crashtest.RunStoreDL(st, store.Combined, opts)
+	}},
+	// The online shard-split path: a 4→6 split (non-doubling, so keys move
+	// between serving shards as well as into new ones) migrates while the
+	// workers run; every boundary must recover a complete, duplicate-free
+	// keyspace.
+	{"store-split", func(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+		return crashtest.RunStoreSplitDL(st, 6, opts)
+	}},
+}
+
+// targetNames joins the crash-test structures' names for help and error
+// text; lapOnly keeps those link-and-persist applies to.
+func targetNames(lapOnly bool) string {
+	var names []string
+	for _, t := range crashtest.Targets() {
+		if t.WithLAP || !lapOnly {
+			names = append(names, t.Name)
+		}
+	}
+	return strings.Join(names, "|")
+}
+
+// dlOnlyNames joins the -ds values only -dlcheck runs: the durable queue
+// and the store table's rows.
+func dlOnlyNames() string {
+	names := []string{"queue"}
+	for _, b := range storeBatteries {
+		names = append(names, b.name)
+	}
+	return strings.Join(names, "|")
+}
+
 // runDLCheck drives the systematic battery: structures × modes ×
-// policies, the durable queue, the sharded store, and the store's
-// batched (group-commit) request path, each recorded execution checked
-// at every (budgeted) persist boundary.
+// policies, the durable queue, and every row of storeBatteries, each
+// recorded execution checked at every (budgeted) persist boundary.
 func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64, budget int, tracePath string, verbose bool) int {
 	start := time.Now()
 	total, points, records := 0, 0, 0
@@ -182,6 +236,11 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 			fmt.Printf("ok %s seed=%d records=%d fences=%d points=%d ops=%d\n",
 				name, seed, rep.Records, rep.Fences, rep.Points, rep.Ops)
 		}
+	}
+	optsFor := func(seed int64) dlcheck.Options {
+		opts := dlcheck.DefaultOptions(seed)
+		opts.Budget = budget
+		return opts
 	}
 	modes := dstruct.Modes
 	if modeFilter != "" {
@@ -216,9 +275,7 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 			for _, polName := range polNamesFor(target.WithLAP) {
 				for r := 0; r < rounds; r++ {
 					seed := seed0 + int64(r)
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := dlcheck.RunSet(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode), target.DL(), opts)
+					rep := dlcheck.RunSet(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode), target.DL(), optsFor(seed))
 					report(fmt.Sprintf("%s/%s/%s", target.Name, mode, polName), rep, seed)
 				}
 			}
@@ -232,41 +289,18 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 		for _, polName := range polNamesFor(true) {
 			for r := 0; r < rounds; r++ {
 				seed := seed0 + int64(r)
-				opts := dlcheck.DefaultOptions(seed)
+				opts := optsFor(seed)
 				opts.OpsPerWorker = 8 // whole-history FIFO search
-				opts.Budget = budget
 				rep := crashtest.RunQueueDL(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), dstruct.Manual), opts)
 				report("queue/"+polName, rep, seed)
 			}
 		}
 	}
 
-	if dsFilter == "" || dsFilter == "store" {
-		for _, mode := range modes {
-			// Link-and-persist applies at service granularity too (the
-			// randomized store battery covers it); keep it enumerated so
-			// the failed-p-CAS dirty-flush path is checked here as well.
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreDL(st, opts)
-					report(fmt.Sprintf("store/%s/%s", mode, polName), rep, seed)
-				}
-			}
+	for _, b := range storeBatteries {
+		if dsFilter != "" && dsFilter != b.name {
+			continue
 		}
-	}
-
-	// The batched (group-commit) request path: the network server's
-	// executor — pipelined batches, one commit fence per batch, responses
-	// recorded only after it — enumerated exactly like the per-op store.
-	if dsFilter == "" || dsFilter == "store-batched" {
 		for _, mode := range modes {
 			for _, polName := range polNamesFor(true) {
 				for r := 0; r < rounds; r++ {
@@ -276,65 +310,15 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
 						return 2
 					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreBatchedDL(st, opts)
-					report(fmt.Sprintf("store-batched/%s/%s", mode, polName), rep, seed)
-				}
-			}
-		}
-	}
-
-	// The embedded flat-combining path: sessions announce op vectors to
-	// per-shard combiners, one fence per combining window, results
-	// published only after it — so the enumeration covers boundaries
-	// inside windows merging several sessions' vectors at once.
-	if dsFilter == "" || dsFilter == "store-combined" {
-		for _, mode := range modes {
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreCombinedDL(st, opts)
-					report(fmt.Sprintf("store-combined/%s/%s", mode, polName), rep, seed)
-				}
-			}
-		}
-	}
-
-	// The online shard-split path: a 4→6 split (non-doubling, so keys move
-	// between serving shards as well as into new ones) migrates while the
-	// workers run, and every enumerated boundary — before activation, mid
-	// migration, after completion — must recover a complete, duplicate-free
-	// keyspace.
-	if dsFilter == "" || dsFilter == "store-split" {
-		for _, mode := range modes {
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreSplitDL(st, 6, opts)
-					report(fmt.Sprintf("store-split/%s/%s", mode, polName), rep, seed)
+					report(fmt.Sprintf("%s/%s/%s", b.name, mode, polName), b.run(st, optsFor(seed)), seed)
 				}
 			}
 		}
 	}
 
 	if total == 0 {
-		fmt.Fprintf(os.Stderr, "flitcrash: no dlcheck runs matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst|queue|store|store-batched|store-combined|store-split; the queue is manual-only, link-and-persist applies only to list|hashtable|skiplist|lockmap|queue)\n",
-			dsFilter, modeFilter, polFilter)
+		fmt.Fprintf(os.Stderr, "flitcrash: no dlcheck runs matched -ds %q / -mode %q / -policy %q (structures: %s|%s; the queue is manual-only, link-and-persist applies only to %s|queue and the store)\n",
+			dsFilter, modeFilter, polFilter, targetNames(false), dlOnlyNames(), targetNames(true))
 		return 2
 	}
 	fmt.Printf("flitcrash -dlcheck: %d runs, %d persist records, %d crash points checked, %d violations, %v\n",

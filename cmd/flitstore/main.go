@@ -201,7 +201,7 @@ func main() {
 			if opts.MaxCrash < opts.MinCrash {
 				opts.MaxCrash = opts.MinCrash
 			}
-			verdict, err := crashtest.RunStore(st, opts)
+			verdict, err := crashtest.RunStore(st, store.Direct, opts)
 			if err != nil {
 				fatal(err)
 			}

@@ -33,6 +33,10 @@ type Conn struct {
 	head     int
 	out      []byte
 	resp     server.Response
+
+	// refused is the sticky error of a request Send would have framed
+	// wrongly; it was dropped unsent, and the next Flush reports it.
+	refused error
 }
 
 // New wraps an established transport (TCP, unix socket, net.Pipe).
@@ -67,19 +71,42 @@ func (c *Conn) Pending() int { return len(c.inflight) - c.head }
 
 // Send buffers one request frame without flushing; pipeline as many as
 // the window wants, then Flush once so the server sees — and
-// group-commits — the whole window.
+// group-commits — the whole window. A key longer than server.MaxKeyLen
+// does not fit the frame's 16-bit length prefix: that request is not
+// sent and takes no response slot, and the next Flush reports it while
+// the rest of the window goes out and is answered as usual.
 func (c *Conn) Send(req *server.Request) {
-	c.out = server.AppendRequest(c.out[:0], req)
-	c.bw.Write(c.out)
-	c.inflight = append(c.inflight, req.Op)
+	if c.frame(req) {
+		c.inflight = append(c.inflight, req.Op)
+	}
 }
 
-// Flush pushes every buffered request to the transport.
+// frame buffers req's frame, or refuses a key too long to encode.
+func (c *Conn) frame(req *server.Request) bool {
+	if len(req.Key) > server.MaxKeyLen {
+		if c.refused == nil {
+			c.refused = fmt.Errorf("client: %d-byte key exceeds server.MaxKeyLen (%d); request not sent", len(req.Key), server.MaxKeyLen)
+		}
+		return false
+	}
+	c.out = server.AppendRequest(c.out[:0], req)
+	c.bw.Write(c.out)
+	return true
+}
+
+// Flush pushes every buffered request to the transport. It returns the
+// transport's error, else the refusal of any request Send dropped since
+// the previous Flush.
 func (c *Conn) Flush() error {
 	if c.opTimeout > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.opTimeout))
 	}
-	return c.bw.Flush()
+	err := c.bw.Flush()
+	if err == nil {
+		err = c.refused
+	}
+	c.refused = nil
+	return err
 }
 
 // Recv decodes the next pipelined response, in send order. The returned
@@ -117,10 +144,11 @@ func (c *Conn) Recv() (*server.Response, error) {
 // open-loop load generator splits one Conn between a sender and a
 // receiver goroutine this way: the write half (SendUntracked, Flush)
 // and the read half (RecvFor) touch disjoint state, so the split is
-// race-free as long as each half stays on one goroutine.
+// race-free as long as each half stays on one goroutine. An oversize key
+// is refused as in Send; the caller, who owns the FIFO, must not expect
+// a response for it once Flush has reported the refusal.
 func (c *Conn) SendUntracked(req *server.Request) {
-	c.out = server.AppendRequest(c.out[:0], req)
-	c.bw.Write(c.out)
+	c.frame(req)
 }
 
 // RecvFor decodes the next response frame for a request sent with

@@ -33,10 +33,10 @@ import (
 //
 // The image is taken after the scenario quiesces (all handlers exited,
 // every honest batch already committed), so the capture itself is
-// race-free; mid-execution crash points are the batched dlcheck
-// batteries' job (batch.go). What chaos adds is the service boundary:
-// does the ack discipline survive resets, stalls, blackholes, overload
-// and drain? Options.UnsafeDrainAckFirst exists as the harness's
+// race-free; mid-execution crash points are the job of RunStoreDL's
+// enumeration over the same Batched executor. What chaos adds is the
+// service boundary: does the ack discipline survive resets, stalls,
+// blackholes, overload and drain? Options.UnsafeDrainAckFirst exists as the harness's
 // must-fail tooth — a deliberately broken drain that acks without the
 // group-commit fence, which this battery has to catch.
 
@@ -103,10 +103,7 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 		sc.KeyRange = min
 	}
 
-	initial := make(map[uint64]bool)
-	for k := range st.Snapshot() {
-		initial[k] = true
-	}
+	initial := keySet(st)
 
 	srv := server.New(st, sc.Server)
 	clock := &hist.Clock{}
@@ -247,16 +244,9 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	}
 	stats := srv.Stats()
 
-	wm := st.Heap().Watermark()
-	img := st.Mem().CrashImage(pmem.DropUnfenced, seed^0x5ca1ab1e)
-	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, wm, st.Opts())
+	_, rstats, final, err := crashRecover(st, pmem.DropUnfenced, seed)
 	if err != nil {
 		return ChaosVerdict{}, fmt.Errorf("chaos %q: recover: %w", sc.Name, err)
-	}
-	final := make(map[uint64]bool)
-	for k := range st2.Snapshot() {
-		final[k] = true
 	}
 	return ChaosVerdict{
 		Violation:   hist.Check(recs, initial, final),

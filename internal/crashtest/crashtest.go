@@ -1,9 +1,11 @@
 // Package crashtest drives randomized crash-recovery validation: worker
-// threads run recorded operations against a durable set, each crashing at
-// a seeded instruction countdown (anywhere a real power failure could
-// land); the persistent image is materialized under a chosen CrashMode,
-// recovered, and the surviving state is checked for durable
-// linearizability with the hist checker.
+// threads run recorded operations against a durable set (Run) or a whole
+// store in any session mode (RunStore), each crashing at a seeded
+// instruction countdown (anywhere a real power failure could land); the
+// persistent image is materialized under a chosen CrashMode, recovered,
+// and the surviving state is checked for durable linearizability with
+// the hist checker. The same targets and store executors also feed the
+// systematic enumerator in internal/dlcheck (dl.go).
 package crashtest
 
 import (

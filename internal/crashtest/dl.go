@@ -11,10 +11,11 @@ import (
 	"flit/internal/store"
 )
 
-// This file wires the randomized crash harness's target registry into the
-// systematic enumerator (internal/dlcheck): the same structures, the same
-// recovery paths, but every PWB/PFence boundary of a recorded execution
-// checked instead of one random image per round.
+// This file wires the randomized crash harness's target registry and the
+// store's session-mode executors (exec.go) into the systematic enumerator
+// (internal/dlcheck): the same structures and store paths, the same
+// recovery, but every PWB/PFence boundary of a recorded execution checked
+// instead of one random image per round.
 
 // DL adapts a crash-test target for dlcheck.RunSet.
 func (t Target) DL() dlcheck.Target {
@@ -54,57 +55,67 @@ func NewDLStore(policy string, mode dstruct.Mode) (*store.Store, error) {
 	})
 }
 
-// dlStoreSession maps the enumerator's uint64 key space onto store string
-// keys, giving the whole-store service set semantics the engine records
-// (Put ≡ Insert: true iff newly inserted).
-type dlStoreSession struct {
-	sess *store.Sess[string]
-}
-
 func dlStoreKey(k uint64) string { return fmt.Sprintf("dlkey-%d", k) }
 
-func (s dlStoreSession) Insert(k, v uint64) bool { return s.sess.Put(dlStoreKey(k), v) }
-func (s dlStoreSession) Delete(k uint64) bool    { return s.sess.Delete(dlStoreKey(k)) }
-func (s dlStoreSession) Contains(k uint64) bool  { return s.sess.Contains(dlStoreKey(k)) }
-
-// RunStoreDL runs the systematic checker against a whole store: sessions
-// record service-level histories, and every (budgeted) crash boundary is
-// recovered with the store's superblock probe and shard-parallel rebuild
-// before checking. st must be freshly created (no unrecorded keys): any
-// recovered key outside the checker's namespace is reported as a
-// violation, which is exactly the "no operation absent from the history
-// may appear" half of the durable rule.
-func RunStoreDL(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+// dlRecover is the enumerator's recovery step for st: recover each crash
+// image with the store's own procedure (superblock probe, shard-parallel
+// rebuild) and translate the recovered key hashes back to engine keys.
+// A hash outside the engine's key space is a phantom key, reported as
+// an error — exactly the "no operation absent from the history may
+// appear" half of the durable rule.
+func dlRecover(st *store.Store, opts dlcheck.Options) func(img []uint64) (map[uint64]bool, error) {
 	opts = opts.Normalized()
-	keyspace := opts.KeyRange
-	if opts.Prefill > keyspace {
-		keyspace = opts.Prefill
-	}
-	// Hash → engine-key translation for recovered snapshots.
+	keyspace := max(opts.KeyRange, opts.Prefill)
 	back := make(map[uint64]uint64, keyspace)
 	for k := 0; k < keyspace; k++ {
 		back[store.HashKey(dlStoreKey(uint64(k)))] = uint64(k)
 	}
-	return dlcheck.Run(dlcheck.Harness{
-		Name:       "store",
-		Mem:        st.Mem(),
-		Policy:     st.Policy(),
-		NewSession: func() dstruct.SetThread { return dlStoreSession{store.Open[string](st, store.Direct)} },
-		Recover: func(img []uint64) (map[uint64]bool, error) {
-			mem2 := pmem.NewFromImage(img, st.Mem().Config())
-			st2, _, err := store.Recover(mem2, st.Heap().Watermark(), st.Opts())
-			if err != nil {
-				return nil, err
+	return func(img []uint64) (map[uint64]bool, error) {
+		st2, _, err := recoverImage(st, img)
+		if err != nil {
+			return nil, err
+		}
+		final := make(map[uint64]bool)
+		for h := range st2.Snapshot() {
+			k, ok := back[h]
+			if !ok {
+				return nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
 			}
-			final := make(map[uint64]bool)
-			for h := range st2.Snapshot() {
-				k, ok := back[h]
-				if !ok {
-					return nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
-				}
-				final[k] = true
-			}
-			return final, nil
+			final[k] = true
+		}
+		return final, nil
+	}
+}
+
+// RunStoreDL runs the systematic checker against a whole store reached
+// through sessions of the given mode, mapping the enumerator's uint64
+// keys onto store string keys (Put ≡ Insert: true iff newly inserted).
+// Direct sessions record one operation at a time (dlcheck.Run); Batched
+// and Combined sessions record pipelined vectors of varying depth, each
+// answered only after its commit or window fence (dlcheck.RunBatched) —
+// for Combined, vectors from concurrent sessions may merge into one
+// combiner window. Every (budgeted) crash boundary is then recovered and
+// checked. st must be freshly created: the engine's prefill is the whole
+// initial state, so any other recovered key is a violation.
+func RunStoreDL(st *store.Store, mode store.SessionMode, opts dlcheck.Options) *dlcheck.Report {
+	rec := dlRecover(st, opts)
+	if mode == store.Direct {
+		return dlcheck.Run(dlcheck.Harness{
+			Name:       "store",
+			Mem:        st.Mem(),
+			Policy:     st.Policy(),
+			NewSession: func() dstruct.SetThread { return newDirectExec(st, dlStoreKey) },
+			Recover:    rec,
+		}, opts)
+	}
+	return dlcheck.RunBatched(dlcheck.BatchedHarness{
+		Name:   "store-" + mode.String(),
+		Mem:    st.Mem(),
+		Policy: st.Policy(),
+		NewSession: func() dlcheck.BatchExecutor {
+			ex, _ := openExec(st, mode, dlStoreKey)
+			return ex
 		},
+		Recover: rec,
 	}, opts)
 }

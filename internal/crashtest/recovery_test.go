@@ -96,24 +96,7 @@ func TestStoreCrashInsideRecoveryTorn(t *testing.T) {
 // recovery copies moved keys into their target shards before dropping
 // the stale originals.
 func TestStoreCrashInsideRecoveryMidSplit(t *testing.T) {
-	st, err := NewDLStore(core.PolicyHT, dstruct.Automatic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := store.Open[string](st, store.Direct)
-	for k := 0; k < 200; k++ {
-		sess.Put(fmt.Sprintf("split-%d", k), uint64(k))
-	}
-	sess.Close()
-	if err := st.Split(7); err != nil {
-		t.Fatal(err)
-	}
-	st.Mem().ArmCrash() // the migrator dies at its next instruction
-	if st.WaitSplit() {
-		t.Fatal("migration completed despite an armed crash")
-	}
-	img := st.Mem().CrashImage(pmem.DropUnfenced, 0)
-	st.Mem().DisarmCrash()
+	st, img := crashMidSplit(t)
 	rs := recoverEveryPrefix(t, st, img, st.Heap().Watermark())
 	if rs.Keys != 200 {
 		t.Fatalf("mid-split recovery kept %d keys, want 200", rs.Keys)
@@ -121,4 +104,38 @@ func TestStoreCrashInsideRecoveryMidSplit(t *testing.T) {
 	if rs.Moved == 0 {
 		t.Fatal("mid-split recovery moved no key: the test never exercised an import")
 	}
+}
+
+// crashMidSplit fills a fresh store, starts a split to 7 shards and
+// crashes the migrator, returning the store and its crash image. The
+// migrator runs in its own goroutine and may finish all 200 keys before
+// the crash is armed (a descheduled test goroutine on a loaded host), so
+// such an attempt is discarded and retried on a fresh store; the test
+// fails only if no attempt crashes the migration.
+func crashMidSplit(t *testing.T) (*store.Store, []uint64) {
+	t.Helper()
+	for attempt := 0; attempt < 50; attempt++ {
+		st, err := NewDLStore(core.PolicyHT, dstruct.Automatic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := store.Open[string](st, store.Direct)
+		for k := 0; k < 200; k++ {
+			sess.Put(fmt.Sprintf("split-%d", k), uint64(k))
+		}
+		sess.Close()
+		if err := st.Split(7); err != nil {
+			t.Fatal(err)
+		}
+		st.Mem().ArmCrash() // the migrator dies at its next instruction
+		if st.WaitSplit() {
+			st.Mem().DisarmCrash()
+			continue // it completed before the crash was armed
+		}
+		img := st.Mem().CrashImage(pmem.DropUnfenced, 0)
+		st.Mem().DisarmCrash()
+		return st, img
+	}
+	t.Fatal("migration completed despite an armed crash in every attempt")
+	return nil, nil
 }

@@ -5,18 +5,17 @@ import (
 
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
-	"flit/internal/pmem"
 	"flit/internal/store"
 )
 
-// RunStoreSplitDL is RunStoreDL with an online shard split racing the
-// recorded workload: the store splits from its configured shard count to
-// splitTo while the workers run, so the enumerated crash boundaries land
-// before the split's activation word, inside the key migration (between
-// any two of its batch fences), and after completion. Every boundary must
-// recover a complete, duplicate-free keyspace — the split's
-// crash-consistency claim, checked against the same durable rule as the
-// static battery:
+// RunStoreSplitDL is RunStoreDL over Direct sessions with an online
+// shard split racing the recorded workload: the store splits from its
+// configured shard count to splitTo while the workers run, so the
+// enumerated crash boundaries land before the split's activation word,
+// inside the key migration (between any two of its batch fences), and
+// after completion. Every boundary must recover a complete,
+// duplicate-free keyspace — the split's crash-consistency claim, checked
+// against the same durable rule as the static battery:
 //
 //   - a key acknowledged before the crash must be present after recovery
 //     exactly once (duplicates would surface as linearizability
@@ -28,20 +27,11 @@ import (
 // st must be freshly created with fewer than splitTo shards and no
 // combined sessions.
 func RunStoreSplitDL(st *store.Store, splitTo int, opts dlcheck.Options) *dlcheck.Report {
-	opts = opts.Normalized()
-	keyspace := opts.KeyRange
-	if opts.Prefill > keyspace {
-		keyspace = opts.Prefill
-	}
-	back := make(map[uint64]uint64, keyspace)
-	for k := 0; k < keyspace; k++ {
-		back[store.HashKey(dlStoreKey(uint64(k)))] = uint64(k)
-	}
 	return dlcheck.Run(dlcheck.Harness{
 		Name:       fmt.Sprintf("store-split(%d→%d)", st.NumShards(), splitTo),
 		Mem:        st.Mem(),
 		Policy:     st.Policy(),
-		NewSession: func() dstruct.SetThread { return dlStoreSession{store.Open[string](st, store.Direct)} },
+		NewSession: func() dstruct.SetThread { return newDirectExec(st, dlStoreKey) },
 		During: func() {
 			if err := st.Split(splitTo); err != nil {
 				panic(fmt.Sprintf("crashtest: split activation failed: %v", err))
@@ -50,24 +40,8 @@ func RunStoreSplitDL(st *store.Store, splitTo int, opts dlcheck.Options) *dlchec
 				panic("crashtest: split migrator crashed without a countdown armed")
 			}
 		},
-		Recover: func(img []uint64) (map[uint64]bool, error) {
-			mem2 := pmem.NewFromImage(img, st.Mem().Config())
-			// The watermark is read at enumeration time — after the
-			// migration's allocations — so recovery can never allocate
-			// below anything the trace persisted.
-			st2, _, err := store.Recover(mem2, st.Heap().Watermark(), st.Opts())
-			if err != nil {
-				return nil, err
-			}
-			final := make(map[uint64]bool)
-			for h := range st2.Snapshot() {
-				k, ok := back[h]
-				if !ok {
-					return nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
-				}
-				final[k] = true
-			}
-			return final, nil
-		},
+		// The watermark is read at enumeration time — after the
+		// migration's allocations.
+		Recover: dlRecover(st, opts),
 	}, opts)
 }

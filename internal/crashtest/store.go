@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"flit/internal/dlcheck"
 	"flit/internal/hist"
 	"flit/internal/pmem"
 	"flit/internal/store"
@@ -49,42 +50,65 @@ type StoreVerdict struct {
 	Crashed     int
 }
 
+// roundWindow bounds the op vector a Batched or Combined round worker
+// hands its executor per call; each call draws a depth in
+// [1, roundWindow].
+const roundWindow = 8
+
 // RunStore executes one seeded crash-recovery round against a whole
-// store: workers run recorded Put/Get/Delete streams through sessions,
-// each crashing at a seeded instruction countdown; the persistent image
-// is materialized, every shard is recovered in parallel, and the
-// recovered key set is checked for durable linearizability against the
-// recorded multi-key history. The pre-round snapshot is the initial
-// state, so RunStore composes with unrecorded load/run phases before it.
-func RunStore(st *store.Store, opts StoreOptions) (StoreVerdict, error) {
+// store through sessions of the given mode: workers run recorded
+// Put/Delete/Contains streams, the persistent image is materialized,
+// every shard is recovered in parallel, and the recovered key set is
+// checked for durable linearizability against the recorded multi-key
+// history. The pre-round snapshot is the initial state, so RunStore
+// composes with unrecorded load/run phases before it.
+//
+// Direct workers run one operation per call (Begin, execute, Finish).
+// Batched and Combined workers pipeline vectors of up to roundWindow
+// operations, all invoked before the call and answered after it, so a
+// crash inside the call leaves the whole vector pending (free to survive
+// or vanish). The seeded instruction countdowns are armed where the mode
+// executes: the session's thread (Direct), the batcher's session thread
+// (Batched), or the store's per-shard combiner threads (Combined) — where
+// a firing countdown kills the whole simulated process, freezing every
+// worker's in-flight window.
+func RunStore(st *store.Store, mode store.SessionMode, opts StoreOptions) (StoreVerdict, error) {
 	if opts.KeyOf == nil {
 		opts.KeyOf = func(i uint64) string { return fmt.Sprintf("key-%d", i) }
 	}
 	// Keep expected per-key op counts ≤ ~4 so the exact checker's 64-op
 	// cap holds with overwhelming probability even on the hottest key.
-	if min := uint64(opts.Workers*opts.OpsPerWorker)/4 + 1; opts.KeyRange < min {
-		opts.KeyRange = min
+	if lo := uint64(opts.Workers*opts.OpsPerWorker)/4 + 1; opts.KeyRange < lo {
+		opts.KeyRange = lo
 	}
 	if opts.MaxCrash < opts.MinCrash {
 		opts.MaxCrash = opts.MinCrash
 	}
-
-	initial := make(map[uint64]bool)
-	for k := range st.Snapshot() {
-		initial[k] = true
+	window := roundWindow
+	if mode == store.Direct {
+		window = 1
 	}
 
+	initial := keySet(st)
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	countdown := func() int64 { return opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1) }
 	recs := make([]*hist.Recorder, opts.Workers)
-	sessions := make([]*store.Sess[string], opts.Workers)
-	countdowns := make([]int64, opts.Workers)
+	execs := make([]dlcheck.BatchExecutor, opts.Workers)
 	seeds := make([]int64, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		recs[w] = hist.NewRecorder(clock)
-		sessions[w] = store.Open[string](st, store.Direct)
-		countdowns[w] = opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1)
+		var th *pmem.Thread
+		execs[w], th = openExec(st, mode, opts.KeyOf)
+		if th != nil {
+			th.SetCrashAfter(countdown())
+		}
 		seeds[w] = rng.Int63()
+	}
+	if mode == store.Combined {
+		for _, ct := range st.CombinerThreads() {
+			ct.SetCrashAfter(countdown())
+		}
 	}
 
 	var crashed, recorded int64
@@ -94,30 +118,30 @@ func RunStore(st *store.Store, opts StoreOptions) (StoreVerdict, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := sessions[w]
-			rec := recs[w]
+			ex, rec := execs[w], recs[w]
 			wrng := rand.New(rand.NewSource(seeds[w]))
-			sess.Thread().SetCrashAfter(countdowns[w])
+			ops := make([]dlcheck.BatchOp, 0, window)
+			results := make([]bool, window)
+			toks := make([]int, 0, window)
 			n := 0
 			c := pmem.RunToCrash(func() {
-				for i := 0; i < opts.OpsPerWorker; i++ {
-					idx := uint64(wrng.Int63()) % opts.KeyRange
-					key := opts.KeyOf(idx)
-					hk := store.HashKey(key)
-					n++
-					switch wrng.Intn(3) {
-					case 0:
-						// Put maps onto set-Insert semantics: true iff the
-						// key was newly inserted.
-						tok := rec.Begin(hist.Insert, hk)
-						rec.Finish(tok, sess.Put(key, uint64(i)))
-					case 1:
-						tok := rec.Begin(hist.Delete, hk)
-						rec.Finish(tok, sess.Delete(key))
-					default:
-						tok := rec.Begin(hist.Contains, hk)
-						_, ok := sess.Get(key)
-						rec.Finish(tok, ok)
+				for n < opts.OpsPerWorker {
+					depth := 1
+					if window > 1 {
+						depth = 1 + wrng.Intn(window)
+					}
+					depth = min(depth, opts.OpsPerWorker-n)
+					ops, toks = ops[:0], toks[:0]
+					for i := 0; i < depth; i++ {
+						idx := uint64(wrng.Int63()) % opts.KeyRange
+						kind := hist.Kind(wrng.Intn(3))
+						ops = append(ops, dlcheck.BatchOp{Kind: kind, Key: idx, Val: uint64(n + i)})
+						toks = append(toks, rec.Begin(kind, store.HashKey(opts.KeyOf(idx))))
+					}
+					n += depth
+					ex.ExecBatch(ops, results[:depth])
+					for i, tok := range toks {
+						rec.Finish(tok, results[i])
 					}
 				}
 			})
@@ -131,17 +155,9 @@ func RunStore(st *store.Store, opts StoreOptions) (StoreVerdict, error) {
 	}
 	wg.Wait()
 
-	wm := st.Heap().Watermark()
-	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^0x5ca1ab1e)
-	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, wm, st.Opts())
+	st2, rstats, final, err := crashRecover(st, opts.CrashMode, opts.Seed)
 	if err != nil {
 		return StoreVerdict{}, err
-	}
-
-	final := make(map[uint64]bool)
-	for k := range st2.Snapshot() {
-		final[k] = true
 	}
 	return StoreVerdict{
 		Violation:   hist.Check(recs, initial, final),
@@ -150,4 +166,31 @@ func RunStore(st *store.Store, opts StoreOptions) (StoreVerdict, error) {
 		RecordedOps: int(recorded),
 		Crashed:     int(crashed),
 	}, nil
+}
+
+// crashRecover is the store batteries' shared tail: materialize st's
+// crash image under cm, recover it with the store's own procedure, and
+// return the recovered store with its key set.
+func crashRecover(st *store.Store, cm pmem.CrashMode, seed int64) (*store.Store, store.RecoveryStats, map[uint64]bool, error) {
+	st2, rstats, err := recoverImage(st, st.Mem().CrashImage(cm, seed^0x5ca1ab1e))
+	if err != nil {
+		return nil, rstats, nil, err
+	}
+	return st2, rstats, keySet(st2), nil
+}
+
+// recoverImage recovers a crash image of st's memory. The watermark is
+// read now, after everything the image could have persisted was
+// allocated, so recovery never allocates below it.
+func recoverImage(st *store.Store, img []uint64) (*store.Store, store.RecoveryStats, error) {
+	return store.Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+}
+
+// keySet returns the key hashes st holds (st quiescent).
+func keySet(st *store.Store) map[uint64]bool {
+	keys := make(map[uint64]bool)
+	for k := range st.Snapshot() {
+		keys[k] = true
+	}
+	return keys
 }

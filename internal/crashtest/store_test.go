@@ -30,10 +30,28 @@ func newCrashStoreMode(t *testing.T, policy string, mode dstruct.Mode) *store.St
 	return st
 }
 
+// The round battery runs one body in every session mode. Each mode
+// keeps its own top-level tests, so -run StoreBatched or -run
+// StoreCombined still selects one mode's cells.
+
 // TestStoreDurableLinearizability is the service-level analogue of
-// TestDurableLinearizability: whole-store histories across sessions,
-// crash injection, shard-parallel recovery, per-key exact checking.
-func TestStoreDurableLinearizability(t *testing.T) {
+// TestDurableLinearizability: whole-store histories across Direct
+// sessions, crash injection, shard-parallel recovery, per-key exact
+// checking.
+func TestStoreDurableLinearizability(t *testing.T) { testStoreRounds(t, store.Direct) }
+
+// TestStoreBatchedDurableLinearizability drives the batched
+// (group-commit) request path: mid-batch crashes freeze whole batches as
+// pending, and nothing may respond before its batch's commit fence.
+func TestStoreBatchedDurableLinearizability(t *testing.T) { testStoreRounds(t, store.Batched) }
+
+// TestStoreCombinedDurableLinearizability drives the embedded
+// flat-combining path: crashes land on the combiner threads, freezing
+// every in-flight Apply in the process as pending, and nothing may
+// respond before its window's one fence.
+func TestStoreCombinedDurableLinearizability(t *testing.T) { testStoreRounds(t, store.Combined) }
+
+func testStoreRounds(t *testing.T, mode store.SessionMode) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -52,20 +70,20 @@ func TestStoreDurableLinearizability(t *testing.T) {
 			modes = dstruct.Modes
 		}
 		t.Run(policy, func(t *testing.T) {
-			for _, mode := range modes {
+			for _, dmode := range modes {
 				for _, cm := range crashModes {
 					for _, seed := range seeds {
-						st := newCrashStoreMode(t, policy, mode)
+						st := newCrashStoreMode(t, policy, dmode)
 						workload.Load(st, 200, 2)
 						opts := DefaultStoreOptions(seed, cm)
 						opts.KeyRange = 300
 						opts.KeyOf = workload.Key
-						verdict, err := RunStore(st, opts)
+						verdict, err := RunStore(st, mode, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if verdict.Violation != nil {
-							t.Fatalf("mode %v crash mode %v seed %d: %v", mode, cm, seed, verdict.Violation)
+							t.Fatalf("mode %v crash mode %v seed %d: %v", dmode, cm, seed, verdict.Violation)
 						}
 						if len(verdict.Recovery.Shards) != 8 {
 							t.Fatalf("recovery covered %d shards, want 8", len(verdict.Recovery.Shards))
@@ -73,7 +91,7 @@ func TestStoreDurableLinearizability(t *testing.T) {
 						// The recovered store must stay operational.
 						sess := store.Open[string](verdict.Store, store.Direct)
 						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
-							t.Fatalf("mode %v crash mode %v seed %d: recovered store inoperable", mode, cm, seed)
+							t.Fatalf("mode %v crash mode %v seed %d: recovered store inoperable", dmode, cm, seed)
 						}
 					}
 				}
@@ -82,9 +100,15 @@ func TestStoreDurableLinearizability(t *testing.T) {
 	}
 }
 
-// TestStoreCheckerHasTeeth: the no-persist baseline under DropUnfenced
-// must lose completed operations — and the checker must notice.
-func TestStoreCheckerHasTeeth(t *testing.T) {
+// The round teeth: the no-persist baseline under DropUnfenced must lose
+// completed operations in every session mode — and the checker must
+// notice, proving the battery checks the ack rule rather than the code
+// path's shape.
+func TestStoreCheckerHasTeeth(t *testing.T)         { testStoreRoundTooth(t, store.Direct) }
+func TestStoreBatchedCheckerHasTeeth(t *testing.T)  { testStoreRoundTooth(t, store.Batched) }
+func TestStoreCombinedCheckerHasTeeth(t *testing.T) { testStoreRoundTooth(t, store.Combined) }
+
+func testStoreRoundTooth(t *testing.T, mode store.SessionMode) {
 	caught := false
 	for seed := int64(1); seed <= 6 && !caught; seed++ {
 		st := newCrashStore(t, core.PolicyNoPersist)
@@ -92,14 +116,14 @@ func TestStoreCheckerHasTeeth(t *testing.T) {
 		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
 		opts.KeyRange = 300
 		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, opts)
+		verdict, err := RunStore(st, mode, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		caught = verdict.Violation != nil
 	}
 	if !caught {
-		t.Fatal("no-persist store passed the crash checker — the store harness has no teeth")
+		t.Fatalf("no-persist store passed the %v crash checker — the battery has no teeth", mode)
 	}
 }
 
@@ -116,7 +140,7 @@ func TestStoreRepeatedCrashCycles(t *testing.T) {
 		opts := DefaultStoreOptions(int64(100+round), pmem.RandomSubset)
 		opts.KeyRange = 400
 		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, opts)
+		verdict, err := RunStore(st, store.Direct, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"flit/internal/crashtest"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
+	"flit/internal/store"
 )
 
 func dlPolicies(withLAP bool) []core.Policy {
@@ -107,7 +108,7 @@ func TestEnumeratedStore(t *testing.T) {
 				} else {
 					opts.Budget = 0
 				}
-				rep := crashtest.RunStoreDL(st, opts)
+				rep := crashtest.RunStoreDL(st, store.Direct, opts)
 				if rep.Violation != nil {
 					t.Fatalf("seed %d: %v", seed, rep.Violation)
 				}

@@ -160,7 +160,7 @@ func TestNoPersistPolicyIsCaught(t *testing.T) {
 // TestNoPersistStoreIsCaught: same teeth at service granularity.
 func TestNoPersistStoreIsCaught(t *testing.T) {
 	st := newDLStore(t, core.PolicyNoPersist)
-	rep := crashtest.RunStoreDL(st, dlcheck.DefaultOptions(1))
+	rep := crashtest.RunStoreDL(st, store.Direct, dlcheck.DefaultOptions(1))
 	if rep.Violation == nil {
 		t.Fatal("no-persist store passed the enumerator")
 	}

@@ -12,8 +12,8 @@
 // ack rule is the durable-linearizability contract: a response frame
 // exists only for operations whose effects a single shared PFence has
 // already persisted, so "acknowledged ⇒ persisted" holds at every crash
-// point — verified systematically by the batched dlcheck battery
-// (internal/crashtest.RunStoreBatchedDL).
+// point — verified systematically by the store crash battery in Batched
+// mode (internal/crashtest.RunStoreDL with store.Batched).
 //
 // Compared with per-operation persistence, the batch pays one completion
 // fence per pipeline instead of one per op, and its deferred stores

@@ -120,20 +120,30 @@ func TestSplitThenRecover(t *testing.T) {
 // keyspace. The exhaustive every-boundary version of this test is the
 // flitcrash store-split battery (see EXPERIMENTS.md).
 func TestSplitCrashMidMigrationRecovers(t *testing.T) {
-	st := newTestStore(t, Options{Shards: 4, ExpectedKeys: 1 << 11})
 	const keys = 300
-	sess := Open[string](st, Direct)
-	for k := 0; k < keys; k++ {
-		sess.Put(fmt.Sprintf("mc-%d", k), uint64(k)+7)
-	}
-	sess.Close()
+	// The migrator runs in its own goroutine and may finish before the
+	// crash is armed (a descheduled test goroutine on a loaded host);
+	// such an attempt is discarded and retried on a fresh store.
+	var st *Store
+	for attempt := 0; ; attempt++ {
+		if attempt == 50 {
+			t.Fatal("migration completed despite an armed crash in every attempt")
+		}
+		st = newTestStore(t, Options{Shards: 4, ExpectedKeys: 1 << 11})
+		sess := Open[string](st, Direct)
+		for k := 0; k < keys; k++ {
+			sess.Put(fmt.Sprintf("mc-%d", k), uint64(k)+7)
+		}
+		sess.Close()
 
-	if err := st.Split(6); err != nil {
-		t.Fatal(err)
-	}
-	st.Mem().ArmCrash() // every thread, including the migrator, dies at its next instruction
-	if st.WaitSplit() {
-		t.Fatal("migration completed despite an armed crash")
+		if err := st.Split(6); err != nil {
+			t.Fatal(err)
+		}
+		st.Mem().ArmCrash() // every thread, including the migrator, dies at its next instruction
+		if !st.WaitSplit() {
+			break
+		}
+		st.Mem().DisarmCrash()
 	}
 	if !st.SplitStat().Crashed {
 		t.Fatal("SplitStat does not report the crashed migration")
